@@ -27,12 +27,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/prof"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
-	"repro/internal/wireless"
 )
 
 // defaultSpecs are the headline experiments the replica fan-out runs when
@@ -58,30 +55,18 @@ func run(args []string, stdout io.Writer) error {
 	rootSeed := fs.Int64("seed", 1, "root seed; per-replica seeds are derived from it")
 	jsonOut := fs.String("json", "", "write the replica run's result document to this file ('-': stdout)")
 	specList := fs.String("spec", defaultSpecs, "comma-separated runner specs for -replicas (see -list)")
-	sched := fs.String("sched", "", "event scheduler: heap or calendar (default: heap; results are identical)")
 	shards := fs.Int("shards", 0, "shard count for the city scenario (0: fixed default; results depend on the shard count, never on workers)")
 	workers := fs.Int("workers", 0, "goroutines running city shards (0: GOMAXPROCS; any value yields byte-identical results)")
 	fixedEpochs := fs.Bool("fixed-epochs", false, "run the city shard barrier in fixed-width epoch mode (the adaptive baseline; results are identical)")
-	fused := fs.Bool("fused", netsim.FusedLinks(), "analytic link transmit path: one scheduler event per wired hop instead of two (results are identical; -fused=false is the classic baseline)")
-	fusedAir := fs.Bool("fused-air", wireless.FusedAir(), "analytic radio transmit path: one scheduler event per air frame instead of two (results are identical; -fused-air=false is the classic baseline, also selected by WIRELESS_FUSED=0)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceOut := fs.String("trace", "", "write a runtime execution trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *sched != "" {
-		kind, err := sim.ParseSchedulerKind(*sched)
-		if err != nil {
-			return err
-		}
-		sim.SetDefaultScheduler(kind)
-	}
 	scenario.SetDefaultCityShards(*shards)
 	scenario.SetDefaultCityWorkers(*workers)
 	scenario.SetDefaultCityFixedEpochs(*fixedEpochs)
-	netsim.SetFusedLinks(*fused)
-	wireless.SetFusedAir(*fusedAir)
 	stopProfiles, err := prof.Start(*cpuProfile, *memProfile, *traceOut)
 	if err != nil {
 		return err

@@ -18,7 +18,6 @@ import (
 
 	"repro/handover"
 	"repro/internal/prof"
-	simpkg "repro/internal/sim"
 )
 
 func main() {
@@ -50,20 +49,12 @@ func run(args []string, out *os.File) error {
 		haDelay    = fs.Duration("hadelay", 0, "anchor hosts at a home agent this far (one-way) behind the MAP")
 		hysteresis = fs.Float64("hysteresis", 0, "signal-strength margin (dB) for the handover trigger")
 		loss       = fs.Float64("loss", 0, "control-plane loss probability on the access links [0,1]")
-		sched      = fs.String("sched", "", "event scheduler: heap or calendar (results are identical)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 		traceOut   = fs.String("trace", "", "write a runtime execution trace to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *sched != "" {
-		kind, err := simpkg.ParseSchedulerKind(*sched)
-		if err != nil {
-			return err
-		}
-		simpkg.SetDefaultScheduler(kind)
 	}
 	stopProfiles, err := prof.Start(*cpuProfile, *memProfile, *traceOut)
 	if err != nil {

@@ -228,9 +228,8 @@ type MobileHost struct {
 	handoffs []HandoffRecord
 
 	// SafetyNet per-flow sequence windows (linear scan: a host carries a
-	// handful of flows) and the count of duplicates suppressed.
-	flowSeen      []flowDedup
-	dedupDiscards uint64
+	// handful of flows).
+	flowSeen []flowDedup
 
 	// OnDeliver receives every application packet (innermost, tunnels
 	// stripped) addressed to the host.
@@ -505,7 +504,6 @@ func (mh *MobileHost) handlePacket(pkt *inet.Packet) {
 	}
 	if mh.cfg.Scheme == SchemeSafetyNet && inner.Flow != 0 && !mh.observeSeq(inner.Flow, inner.Seq) {
 		// Redundant bicast copy: the other leg already delivered it.
-		mh.dedupDiscards++
 		if mh.OnDuplicate != nil {
 			mh.OnDuplicate(inner)
 		}
@@ -515,9 +513,6 @@ func (mh *MobileHost) handlePacket(pkt *inet.Packet) {
 		mh.OnDeliver(inner)
 	}
 }
-
-// DedupDiscards counts redundant bicast copies suppressed at the host.
-func (mh *MobileHost) DedupDiscards() uint64 { return mh.dedupDiscards }
 
 // flowDedup is one flow's SafetyNet receive window.
 type flowDedup struct {

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
 
 	"repro/internal/inet"
@@ -31,24 +30,22 @@ type LinkConfig struct {
 // handover buffers, not the link queues.
 const DefaultQueueLimit = 1000
 
-// fusedLinksDefault selects the analytic ("fused") transmit path for links
-// wired from now on: one pre-pinned delivery event per packet instead of
-// the classic txDone-then-deliver pair (DESIGN.md §12). On by default;
-// setting NETSIM_FUSED=0 in the environment starts the process with
-// classic links (CI uses this to run the figure suite in both modes).
-var fusedLinksDefault atomic.Bool
-
-func init() { fusedLinksDefault.Store(os.Getenv("NETSIM_FUSED") != "0") }
+// classicLinks selects the classic txDone-then-deliver transmit path for
+// links wired from now on. Its zero value keeps the analytic ("fused")
+// path: one pre-pinned delivery event per packet (DESIGN.md §12). Both
+// paths produce identical results; the differential tests build classic
+// links to prove it.
+var classicLinks atomic.Bool
 
 // SetFusedLinks selects the transmit path for links wired from now on and
 // returns the previous setting. An Iface latches the setting at Connect
 // time, so a test can build a fused and a classic link side by side on one
 // engine by toggling around the Connect calls.
-func SetFusedLinks(on bool) bool { return fusedLinksDefault.Swap(on) }
+func SetFusedLinks(on bool) bool { return !classicLinks.Swap(!on) }
 
 // FusedLinks reports whether links wired from now on use the analytic
 // transmit path.
-func FusedLinks() bool { return fusedLinksDefault.Load() }
+func FusedLinks() bool { return !classicLinks.Load() }
 
 // linkMode is an Iface's committed transmit path.
 type linkMode uint8

@@ -104,7 +104,3 @@ func (r *Router) Forward(pkt *inet.Packet) {
 	}
 	via.Send(pkt)
 }
-
-// SendFrom originates a packet at this router (control traffic sourced by
-// the router itself).
-func (r *Router) SendFrom(pkt *inet.Packet) { r.Forward(pkt) }

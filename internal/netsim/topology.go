@@ -144,9 +144,6 @@ func (t *Topology) ClaimNet(n inet.NetID, owner Node) {
 	t.owners[n] = owner
 }
 
-// NetOwner returns the node that terminates a network, or nil.
-func (t *Topology) NetOwner(n inet.NetID) Node { return t.owners[n] }
-
 // NewPacketID returns a run-unique packet identifier.
 func (t *Topology) NewPacketID() uint64 {
 	t.nextPktID++

@@ -10,7 +10,7 @@ import (
 // TestSchedulerGoldenDeterminism is the golden determinism guard: a full
 // figure scenario must render byte-identical output under the heap and
 // calendar schedulers, under engine reuse (Reset between runs), and under
-// the process-default engine. Any divergence means a scheduler broke the
+// the engine a scenario builds for itself. Any divergence means a scheduler broke the
 // (at, seq) total-order contract or recycling leaked state.
 func TestSchedulerGoldenDeterminism(t *testing.T) {
 	render := func(engine *sim.Engine) string {
@@ -19,7 +19,7 @@ func TestSchedulerGoldenDeterminism(t *testing.T) {
 			ARLinkDelay: 2 * sim.Millisecond, Engine: engine,
 		}).Render()
 	}
-	heap := sim.NewEngineKind(sim.SchedulerHeap)
+	heap := sim.NewEngine()
 	cal := sim.NewCalendarEngine()
 
 	want := render(heap)

@@ -10,10 +10,13 @@ import (
 // BenchmarkDelayTraceBySched compares the two event schedulers on a full
 // figure workload (reused engine, so allocation warm-up is excluded).
 func BenchmarkDelayTraceBySched(b *testing.B) {
-	for _, kind := range []sim.SchedulerKind{sim.SchedulerHeap, sim.SchedulerCalendar} {
-		b.Run(kind.String(), func(b *testing.B) {
+	for _, sc := range []struct {
+		name string
+		new  func() *sim.Engine
+	}{{"heap", sim.NewEngine}, {"calendar", sim.NewCalendarEngine}} {
+		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			engine := sim.NewEngineKind(kind)
+			engine := sc.new()
 			for i := 0; i < b.N; i++ {
 				RunDelayTrace(DelayTraceParams{
 					Scheme: core.SchemeEnhanced, PoolSize: 60, Alpha: 2,

@@ -189,7 +189,7 @@ func TestStreamingTestbedRetainsNoSamples(t *testing.T) {
 		if len(f.Delays) != 0 {
 			t.Fatalf("streaming flow %d retained %d samples", f.Flow, len(f.Delays))
 		}
-		if f.MaxDelay() == 0 || f.MeanDelay() == 0 || f.DelayPercentile(99) == 0 {
+		if f.MaxDelay() == 0 || f.MeanDelay() == 0 {
 			t.Fatalf("flow %d streaming aggregates empty", f.Flow)
 		}
 	}

@@ -37,9 +37,9 @@ func BenchmarkTimerReset(b *testing.B) {
 // in a running simulation — so the heap and calendar implementations can
 // be compared head to head.
 func BenchmarkSchedulerChurn(b *testing.B) {
-	for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerCalendar} {
-		b.Run(kind.String(), func(b *testing.B) {
-			e := NewEngineKind(kind)
+	for _, sc := range schedulers {
+		b.Run(sc.name, func(b *testing.B) {
+			e := sc.new()
 			rng := NewRNG(1)
 			fn := func() {}
 			const window = 4096
@@ -65,9 +65,9 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 // before firing (the exchange succeeded), exercising the lazy-delete
 // Cancel and the compaction sweep.
 func BenchmarkRetransmissionCancel(b *testing.B) {
-	for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerCalendar} {
-		b.Run(kind.String(), func(b *testing.B) {
-			e := NewEngineKind(kind)
+	for _, sc := range schedulers {
+		b.Run(sc.name, func(b *testing.B) {
+			e := sc.new()
 			fn := func() {}
 			refs := make([]EventRef, 0, 128)
 			b.ReportAllocs()

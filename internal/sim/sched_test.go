@@ -5,7 +5,11 @@ import (
 	"testing"
 )
 
-var schedulerKinds = []SchedulerKind{SchedulerHeap, SchedulerCalendar}
+// schedulers lists both queue implementations behind an Engine.
+var schedulers = []struct {
+	name string
+	new  func() *Engine
+}{{"heap", NewEngine}, {"calendar", NewCalendarEngine}}
 
 // TestSchedulersAgree drives both engines through identical randomized
 // schedule/cancel workloads and requires byte-identical fire sequences —
@@ -13,8 +17,8 @@ var schedulerKinds = []SchedulerKind{SchedulerHeap, SchedulerCalendar}
 func TestSchedulersAgree(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 1))
-		heapEng := NewEngineKind(SchedulerHeap)
-		calEng := NewEngineKind(SchedulerCalendar)
+		heapEng := NewEngine()
+		calEng := NewCalendarEngine()
 
 		var heapOrder, calOrder []int
 		var heapRefs, calRefs []EventRef
@@ -67,8 +71,7 @@ func TestSchedulersAgree(t *testing.T) {
 // TestSchedulersAgreeOnline interleaves scheduling from inside handlers
 // (the pattern real simulations follow) and checks both engines agree.
 func TestSchedulersAgreeOnline(t *testing.T) {
-	run := func(kind SchedulerKind) []int {
-		e := NewEngineKind(kind)
+	run := func(e *Engine) []int {
 		rng := rand.New(rand.NewSource(42))
 		var order []int
 		id := 0
@@ -94,8 +97,8 @@ func TestSchedulersAgreeOnline(t *testing.T) {
 		}
 		return order
 	}
-	heapOrder := run(SchedulerHeap)
-	calOrder := run(SchedulerCalendar)
+	heapOrder := run(NewEngine())
+	calOrder := run(NewCalendarEngine())
 	if len(heapOrder) != len(calOrder) {
 		t.Fatalf("heap fired %d events, calendar %d", len(heapOrder), len(calOrder))
 	}
@@ -110,9 +113,9 @@ func TestSchedulersAgreeOnline(t *testing.T) {
 // schedule→fire→recycle→schedule into the same slot, then check the stale
 // ref reports its own event's fate and Cancel through it is a no-op.
 func TestEventRefGenerationSafety(t *testing.T) {
-	for _, kind := range schedulerKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewEngineKind(kind)
+	for _, sc := range schedulers {
+		t.Run(sc.name, func(t *testing.T) {
+			e := sc.new()
 
 			fired := false
 			ref1 := e.Schedule(1, func() { fired = true })
@@ -214,8 +217,8 @@ func TestEventRefFateDepth(t *testing.T) {
 // TestEngineReset checks a reset engine replays a workload identically to a
 // fresh one, without consulting wall time or leaking prior state.
 func TestEngineReset(t *testing.T) {
-	for _, kind := range schedulerKinds {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, sc := range schedulers {
+		t.Run(sc.name, func(t *testing.T) {
 			run := func(e *Engine) []int {
 				var order []int
 				rng := rand.New(rand.NewSource(7))
@@ -231,7 +234,7 @@ func TestEngineReset(t *testing.T) {
 				}
 				return order
 			}
-			e := NewEngineKind(kind)
+			e := sc.new()
 			first := run(e)
 
 			// Leave junk queued, then reset mid-flight.
@@ -300,9 +303,9 @@ func TestCalendarEarlierPush(t *testing.T) {
 // the acceptance criteria: Schedule, Step, and Cancel must not allocate
 // once the free list and queue capacity are warm.
 func TestZeroAllocHotPath(t *testing.T) {
-	for _, kind := range schedulerKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewEngineKind(kind)
+	for _, sc := range schedulers {
+		t.Run(sc.name, func(t *testing.T) {
+			e := sc.new()
 			fn := func() {}
 			// Warm-up: grow the free list, queue capacity, and calendar
 			// buckets past anything the measured loop needs.
@@ -325,7 +328,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("%v Schedule/Cancel/Step steady state allocates %.1f times per run, want 0", kind, allocs)
+				t.Fatalf("%s Schedule/Cancel/Step steady state allocates %.1f times per run, want 0", sc.name, allocs)
 			}
 		})
 	}

@@ -132,9 +132,6 @@ func (g *ShardGroup) SetAdaptive(on bool) { g.adaptive = on }
 // Stats returns the synchronization counters accumulated so far.
 func (g *ShardGroup) Stats() ShardStats { return g.stats }
 
-// Engines returns the group's engines in shard order.
-func (g *ShardGroup) Engines() []*Engine { return g.engines }
-
 // Lookahead returns the minimum cross-shard latency the group assumes.
 func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -197,55 +196,6 @@ type scheduler interface {
 	reset(recycle func(*event))
 }
 
-// SchedulerKind selects an Engine's queue implementation.
-type SchedulerKind int32
-
-const (
-	// SchedulerHeap is the inlined 4-ary min-heap (the default).
-	SchedulerHeap SchedulerKind = iota
-	// SchedulerCalendar is the ns-2-style calendar queue.
-	SchedulerCalendar
-)
-
-// String implements fmt.Stringer.
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedulerHeap:
-		return "heap"
-	case SchedulerCalendar:
-		return "calendar"
-	default:
-		return fmt.Sprintf("scheduler(%d)", int32(k))
-	}
-}
-
-// ParseSchedulerKind maps a flag value ("heap", "calendar") to a kind.
-func ParseSchedulerKind(s string) (SchedulerKind, error) {
-	switch s {
-	case "heap", "binary-heap", "4ary":
-		return SchedulerHeap, nil
-	case "calendar", "calendar-queue", "cq":
-		return SchedulerCalendar, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown scheduler %q (have: heap, calendar)", s)
-	}
-}
-
-// defaultKind is the process-wide scheduler used by NewEngine, read and
-// written atomically so worker pools can select it per run.
-var defaultKind atomic.Int32
-
-// SetDefaultScheduler selects the queue implementation NewEngine uses from
-// now on and returns the previous choice. Engines already built keep their
-// scheduler; because both kinds honor the same total event order,
-// switching never changes simulation results.
-func SetDefaultScheduler(k SchedulerKind) SchedulerKind {
-	return SchedulerKind(defaultKind.Swap(int32(k)))
-}
-
-// DefaultScheduler returns the kind NewEngine currently uses.
-func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultKind.Load()) }
-
 // ErrStopped is returned by Run when Stop was called before the horizon.
 var ErrStopped = errors.New("sim: engine stopped")
 
@@ -263,7 +213,6 @@ const compactMin = 64
 type Engine struct {
 	now     Time
 	sched   scheduler
-	kind    SchedulerKind
 	seq     uint64
 	stopped bool
 	// processed counts events that have fired, for diagnostics.
@@ -289,30 +238,21 @@ type Engine struct {
 	curSeq   uint64
 }
 
-// NewEngine returns an engine with its clock at zero, using the
-// process-default scheduler (see SetDefaultScheduler; initially the 4-ary
-// heap).
-func NewEngine() *Engine { return NewEngineKind(DefaultScheduler()) }
+// NewEngine returns an engine with its clock at zero, backed by the
+// inlined 4-ary min-heap.
+func NewEngine() *Engine { return newEngine(new(heapQueue)) }
 
-// NewCalendarEngine returns an engine backed by the calendar queue.
-func NewCalendarEngine() *Engine { return NewEngineKind(SchedulerCalendar) }
+// NewCalendarEngine returns an engine backed by the calendar queue. Both
+// queues honor the same total event order, so results are identical; the
+// scenario specs give each runner worker one calendar engine to reuse
+// across replicas.
+func NewCalendarEngine() *Engine { return newEngine(newCalendarQueue()) }
 
-// NewEngineKind returns an engine backed by the given queue implementation.
-func NewEngineKind(k SchedulerKind) *Engine {
-	e := &Engine{kind: k}
-	switch k {
-	case SchedulerCalendar:
-		e.sched = newCalendarQueue()
-	default:
-		e.kind = SchedulerHeap
-		e.sched = new(heapQueue)
-	}
+func newEngine(q scheduler) *Engine {
+	e := &Engine{sched: q}
 	e.recycleFn = e.recycle
 	return e
 }
-
-// Scheduler returns the engine's queue implementation kind.
-func (e *Engine) Scheduler() SchedulerKind { return e.kind }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }

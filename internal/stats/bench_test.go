@@ -84,6 +84,28 @@ func TestRecorderHotPathAllocs(t *testing.T) {
 	}
 }
 
+// TestStreamingNewFlowAllocs pins per-flow state in streaming mode: a flow
+// seen for the first time costs exactly its FlowStats bucket once the flow
+// table has room, so memory stays O(flows) with nothing else per flow.
+func TestStreamingNewFlowAllocs(t *testing.T) {
+	// 100 measured runs plus one warm-up: 101 new flows fit the table.
+	r := NewRecorderMode(ModeStreaming)
+	r.flows = make([]*FlowStats, 0, 256)
+	r.dense = make([]int32, 256)
+	p := benchPacket()
+	p.Flow = 0
+	now := sim.Time(0)
+	newFlow := func() {
+		p.Flow++
+		now += sim.Millisecond
+		r.Sent(p)
+		r.Delivered(p, now)
+	}
+	if avg := testing.AllocsPerRun(100, newFlow); avg != 1 {
+		t.Fatalf("new streaming flow allocates %.2f times; want 1", avg)
+	}
+}
+
 // TestInternSiteHitAllocs pins the interner's fast path.
 func TestInternSiteHitAllocs(t *testing.T) {
 	InternSite("warmed-site")

@@ -114,7 +114,3 @@ func (s DropSite) String() string {
 	}
 	return "site(" + strconv.FormatUint(uint64(s), 10) + ")"
 }
-
-// NumDropSites returns how many distinct sites have been interned so far
-// (at least the canonical set).
-func NumDropSites() int { return len(siteTab.Load().names) }

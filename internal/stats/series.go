@@ -159,20 +159,3 @@ func (s *Summary) CI95() float64 {
 	}
 	return 1.96 * s.SampleStdDev() / math.Sqrt(float64(s.n))
 }
-
-// Merge folds another summary into this one, as if every sample of o had
-// been Added individually. Merging an empty summary is a no-op.
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if s.n == 0 || o.max > s.max {
-		s.max = o.max
-	}
-	s.n += o.n
-	s.sum += o.sum
-	s.sum2 += o.sum2
-}

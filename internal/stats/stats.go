@@ -5,12 +5,11 @@
 // The recording hot path is O(1) and allocation-free in steady state:
 // flows live in a dense table indexed by a small interned flow index, and
 // drops are counted in arrays indexed by interned DropSite instead of
-// string-keyed maps. Two modes govern the delay state: ModeExact (the
-// default) retains every DelaySample, exactly as the figures require;
-// ModeStreaming replaces the retained samples with O(1) running aggregates
-// plus a streaming DelayDigest (P² percentile estimators and a fixed
-// power-of-two histogram), so metro-scale runs hold O(flows) rather than
-// O(packets) delay state.
+// string-keyed maps. Every recorder keeps O(1) running delay aggregates
+// (count, max, mean, jitter) per flow. ModeExact (the default) also
+// retains every DelaySample, as the figures' percentiles, windows and
+// traces require; ModeStreaming retains nothing else, so metro-scale runs
+// hold O(flows) rather than O(packets) delay state.
 //
 // All collectors run on the single simulation goroutine; none are safe for
 // concurrent use.
@@ -18,6 +17,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/inet"
@@ -28,12 +28,12 @@ import (
 type Mode uint8
 
 const (
-	// ModeExact retains every delivered packet's DelaySample. All delay
-	// queries are exact; memory grows O(packets).
+	// ModeExact retains every delivered packet's DelaySample, so sample
+	// queries (percentiles, windows, gaps) work; memory grows O(packets).
 	ModeExact Mode = iota
-	// ModeStreaming retains only running aggregates and a DelayDigest per
-	// flow. Max/mean/jitter stay exact (they are running computations
-	// either way); percentiles are estimates. Memory stays O(flows).
+	// ModeStreaming retains only the running aggregates. Count, max, mean
+	// and jitter match ModeExact exactly; sample queries return zero.
+	// Memory stays O(flows).
 	ModeStreaming
 )
 
@@ -69,9 +69,6 @@ type FlowStats struct {
 	delayMax   sim.Time
 	lastDelay  sim.Time
 	jitterSum  sim.Time
-
-	// digest summarizes delays in ModeStreaming; nil in ModeExact.
-	digest *DelayDigest
 
 	// sortedDelays caches the ascending delays for percentile queries;
 	// rebuilt only when Delays has grown since the last query.
@@ -123,13 +120,8 @@ func (f *FlowStats) Lost() uint64 {
 }
 
 // DelayCount returns how many delay observations the flow has, in either
-// mode (including manually appended Delays).
-func (f *FlowStats) DelayCount() uint64 {
-	if f.delayCount > 0 {
-		return f.delayCount
-	}
-	return uint64(len(f.Delays))
-}
+// mode.
+func (f *FlowStats) DelayCount() uint64 { return f.delayCount }
 
 // observeDelay maintains the running aggregates.
 func (f *FlowStats) observeDelay(d sim.Time) {
@@ -149,32 +141,14 @@ func (f *FlowStats) observeDelay(d sim.Time) {
 }
 
 // MaxDelay returns the largest recorded delay (zero when empty).
-func (f *FlowStats) MaxDelay() sim.Time {
-	if f.delayCount > 0 {
-		return f.delayMax
-	}
-	var m sim.Time
-	for _, s := range f.Delays {
-		if s.Delay > m {
-			m = s.Delay
-		}
-	}
-	return m
-}
+func (f *FlowStats) MaxDelay() sim.Time { return f.delayMax }
 
 // MeanDelay returns the average recorded delay (zero when empty).
 func (f *FlowStats) MeanDelay() sim.Time {
-	if f.delayCount > 0 {
-		return f.delaySum / sim.Time(f.delayCount)
-	}
-	if len(f.Delays) == 0 {
+	if f.delayCount == 0 {
 		return 0
 	}
-	var sum sim.Time
-	for _, s := range f.Delays {
-		sum += s.Delay
-	}
-	return sum / sim.Time(len(f.Delays))
+	return f.delaySum / sim.Time(f.delayCount)
 }
 
 // Recorder is the central measurement sink for one simulation run.
@@ -210,9 +184,6 @@ func NewRecorderMode(mode Mode) *Recorder {
 	return &Recorder{mode: mode}
 }
 
-// Mode returns the recorder's delay-retention mode.
-func (r *Recorder) Mode() Mode { return r.mode }
-
 // flow returns (creating if needed) the stats bucket for a flow.
 func (r *Recorder) flow(id inet.FlowID) *FlowStats {
 	if uint64(id) < uint64(len(r.dense)) {
@@ -232,9 +203,6 @@ func (r *Recorder) flowSlow(id inet.FlowID) *FlowStats {
 		}
 	}
 	f := &FlowStats{Flow: id}
-	if r.mode == ModeStreaming {
-		f.digest = NewDelayDigest()
-	}
 	r.flows = append(r.flows, f)
 	idx := int32(len(r.flows))
 	if id < denseLimit {
@@ -274,8 +242,7 @@ func (r *Recorder) Delivered(pkt *inet.Packet, at sim.Time) {
 	f.Delivered++
 	d := at - pkt.Created
 	f.observeDelay(d)
-	if f.digest != nil {
-		f.digest.Add(d)
+	if r.mode == ModeStreaming {
 		return
 	}
 	f.Delays = append(f.Delays, DelaySample{Seq: pkt.Seq, At: at, Delay: d})
@@ -414,15 +381,11 @@ func (r *Recorder) TotalLost() uint64 {
 	return total
 }
 
-// DelayPercentile returns the p-th percentile (0 < p ≤ 100) of recorded
-// delays; zero when no samples. In exact mode it is the nearest-rank
-// percentile over a sorted copy, cached and reused across queries until
-// new samples arrive. In streaming mode it answers from the DelayDigest
-// (P² estimate at the canonical percentiles, histogram otherwise).
+// DelayPercentile returns the nearest-rank p-th percentile (0 < p ≤ 100)
+// of the retained delays, over a sorted copy cached and reused across
+// queries until new samples arrive. Exact mode only (zero without retained
+// samples).
 func (f *FlowStats) DelayPercentile(p float64) sim.Time {
-	if len(f.Delays) == 0 && f.digest != nil {
-		return f.digest.Percentile(p)
-	}
 	n := len(f.Delays)
 	if n == 0 || p <= 0 {
 		return 0
@@ -435,7 +398,7 @@ func (f *FlowStats) DelayPercentile(p float64) sim.Time {
 		for _, s := range f.Delays {
 			f.sortedDelays = append(f.sortedDelays, s.Delay)
 		}
-		sortTimes(f.sortedDelays)
+		slices.Sort(f.sortedDelays)
 	}
 	rank := int(math.Ceil(p / 100 * float64(n)))
 	if rank < 1 {
@@ -448,24 +411,10 @@ func (f *FlowStats) DelayPercentile(p float64) sim.Time {
 // packets' delays (the RFC 3550 interarrival-jitter idea without the
 // smoothing filter); zero with fewer than two samples.
 func (f *FlowStats) Jitter() sim.Time {
-	if f.delayCount > 0 {
-		if f.delayCount < 2 {
-			return 0
-		}
-		return f.jitterSum / sim.Time(f.delayCount-1)
-	}
-	if len(f.Delays) < 2 {
+	if f.delayCount < 2 {
 		return 0
 	}
-	var sum sim.Time
-	for i := 1; i < len(f.Delays); i++ {
-		d := f.Delays[i].Delay - f.Delays[i-1].Delay
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / sim.Time(len(f.Delays)-1)
+	return f.jitterSum / sim.Time(f.delayCount-1)
 }
 
 // DelaysIn returns the recorded delay samples whose delivery instants fall

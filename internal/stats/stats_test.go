@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -142,11 +143,11 @@ func TestFlowDelayAggregates(t *testing.T) {
 	if f.MaxDelay() != 0 || f.MeanDelay() != 0 {
 		t.Fatal("empty flow aggregates not zero")
 	}
-	f.Delays = []DelaySample{
-		{Delay: 10 * sim.Millisecond},
-		{Delay: 30 * sim.Millisecond},
-		{Delay: 20 * sim.Millisecond},
+	r := NewRecorder()
+	for i, d := range []sim.Time{10, 30, 20} {
+		r.Delivered(pkt(1, inet.ClassBestEffort, uint32(i), 0), d*sim.Millisecond)
 	}
+	f = r.Flow(1)
 	if f.MaxDelay() != 30*sim.Millisecond {
 		t.Fatalf("MaxDelay = %v", f.MaxDelay())
 	}
@@ -159,6 +160,71 @@ func TestFlowLostNeverNegative(t *testing.T) {
 	f := &FlowStats{Sent: 1, Delivered: 3}
 	if f.Lost() != 0 {
 		t.Fatalf("Lost = %d, want clamped 0", f.Lost())
+	}
+}
+
+// TestStreamingDifferential replays one seeded operation stream through an
+// exact-mode and a streaming-mode recorder: every counter and running
+// delay aggregate must agree exactly.
+func TestStreamingDifferential(t *testing.T) {
+	exact := NewRecorder()
+	stream := NewRecorderMode(ModeStreaming)
+	rng := rand.New(rand.NewSource(42))
+
+	sites := []string{"par-buffer", "nar-buffer", "par-policy", "lifetime", "air"}
+	now := sim.Time(0)
+	for i := 0; i < 20_000; i++ {
+		now += sim.Time(rng.Intn(1000) + 1)
+		flow := inet.FlowID(rng.Intn(8) + 1)
+		p := &inet.Packet{
+			Flow: flow, Proto: inet.ProtoUDP, Size: 160,
+			Class:   inet.Classes[int(flow)%3],
+			Seq:     uint32(i),
+			Created: now,
+		}
+		exact.Sent(p)
+		stream.Sent(p)
+		switch rng.Intn(10) {
+		case 0: // lost somewhere
+			site := sites[rng.Intn(len(sites))]
+			exact.Dropped(p, site)
+			stream.Dropped(p, site)
+		default:
+			at := now + sim.Time(rng.Intn(200_000)+20)
+			exact.Delivered(p, at)
+			stream.Delivered(p, at)
+		}
+	}
+
+	if exact.TotalSent() != stream.TotalSent() ||
+		exact.TotalDelivered() != stream.TotalDelivered() ||
+		exact.TotalLost() != stream.TotalLost() {
+		t.Fatal("totals diverge between modes")
+	}
+	for site, n := range exact.SiteDrops() {
+		if stream.SiteDrops()[site] != n {
+			t.Fatalf("site %s drop counts diverge", DropSite(site))
+		}
+	}
+	ef, sf := exact.Flows(), stream.Flows()
+	if len(ef) != len(sf) {
+		t.Fatalf("flow counts diverge: %d vs %d", len(ef), len(sf))
+	}
+	for i := range ef {
+		e, s := ef[i], sf[i]
+		if e.Flow != s.Flow || e.Sent != s.Sent || e.Delivered != s.Delivered {
+			t.Fatalf("flow %d counters diverge", e.Flow)
+		}
+		if e.DelayCount() != s.DelayCount() {
+			t.Fatalf("flow %d delay counts diverge", e.Flow)
+		}
+		// Running aggregates share the same arithmetic: exact equality.
+		if e.MaxDelay() != s.MaxDelay() || e.MeanDelay() != s.MeanDelay() || e.Jitter() != s.Jitter() {
+			t.Fatalf("flow %d aggregate delays diverge", e.Flow)
+		}
+		if len(s.Delays) != 0 {
+			t.Fatalf("streaming flow %d retained %d samples", s.Flow, len(s.Delays))
+		}
 	}
 }
 
@@ -284,9 +350,11 @@ func TestJitter(t *testing.T) {
 	if f.Jitter() != 0 {
 		t.Fatal("jitter of empty flow not zero")
 	}
-	for _, d := range []sim.Time{10, 20, 10, 30} {
-		f.Delays = append(f.Delays, DelaySample{Delay: d * sim.Millisecond})
+	r := NewRecorder()
+	for i, d := range []sim.Time{10, 20, 10, 30} {
+		r.Delivered(pkt(1, inet.ClassBestEffort, uint32(i), 0), d*sim.Millisecond)
 	}
+	f = r.Flow(1)
 	// |20-10| + |10-20| + |30-10| = 40ms over 3 intervals.
 	if got := f.Jitter(); got != 40*sim.Millisecond/3 {
 		t.Fatalf("Jitter = %v, want %v", got, 40*sim.Millisecond/3)

@@ -55,10 +55,6 @@ func (r *Receiver) RcvNxt() uint64 { return r.rcvNxt }
 // Delivered returns the cumulative in-order byte count.
 func (r *Receiver) Delivered() uint64 { return r.delivered }
 
-// SetSrc updates the receiver's own address (the mobile host's care-of
-// address changes across handoffs).
-func (r *Receiver) SetSrc(src inet.Addr) { r.src = src }
-
 // Handle processes one arriving segment.
 func (r *Receiver) Handle(seg *Segment) {
 	if seg == nil || !seg.IsData() {

@@ -136,9 +136,6 @@ func (s *Sender) Cwnd() float64 { return s.cwnd }
 // SndUna returns the oldest unacknowledged byte.
 func (s *Sender) SndUna() uint64 { return s.sndUna }
 
-// SndNxt returns the next new byte to be sent.
-func (s *Sender) SndNxt() uint64 { return s.sndNxt }
-
 // Timeouts returns the number of RTO firings.
 func (s *Sender) Timeouts() uint64 { return s.timeouts }
 

@@ -62,7 +62,7 @@ type AccessPoint struct {
 	// construction from FusedAir.
 	fused bool
 
-	// Classic two-event downlink transmitter state (WIRELESS_FUSED=0).
+	// Classic two-event downlink transmitter state (SetFusedAir(false)).
 	// txPkt/inflight/txDoneFn/airFn mirror netsim.Iface's zero-alloc
 	// transmit: handlers are pre-bound once and frames propagate through a
 	// FIFO (AirDelay is constant, so arrivals complete in transmission

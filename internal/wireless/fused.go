@@ -1,7 +1,6 @@
 package wireless
 
 import (
-	"os"
 	"sync/atomic"
 
 	"repro/internal/sim"
@@ -29,22 +28,17 @@ import (
 // interleave cannot be reproduced analytically; radios constructed with
 // BandwidthBPS == 0 therefore always take the classic path.
 
-// fusedAirDefault is the process-wide default for new radios, settable
-// before construction via SetFusedAir or the WIRELESS_FUSED environment
-// variable (WIRELESS_FUSED=0 selects the classic two-event path).
-var fusedAirDefault atomic.Bool
-
-func init() {
-	fusedAirDefault.Store(os.Getenv("WIRELESS_FUSED") != "0")
-}
+// classicAir selects the classic two-event path for radios created from
+// now on; its zero value keeps the fused path. Radios latch the mode at
+// construction.
+var classicAir atomic.Bool
 
 // SetFusedAir switches the default air transmit path for radios created
-// afterwards and returns the previous setting. Radios latch the mode at
-// construction.
-func SetFusedAir(on bool) bool { return fusedAirDefault.Swap(on) }
+// afterwards and returns the previous setting.
+func SetFusedAir(on bool) bool { return !classicAir.Swap(!on) }
 
 // FusedAir reports the current default air transmit path.
-func FusedAir() bool { return fusedAirDefault.Load() }
+func FusedAir() bool { return !classicAir.Load() }
 
 // airTxEntry is the analytic record of one frame accepted by a fused
 // transmitter: its departure instant (end of serialization) and the

@@ -106,7 +106,7 @@ type Station struct {
 	// construction from FusedAir.
 	fused bool
 
-	// Classic two-event uplink transmit state (WIRELESS_FUSED=0). The
+	// Classic two-event uplink transmit state (SetFusedAir(false)). The
 	// in-flight FIFO carries the target AP alongside each frame because a
 	// frame stays aimed at the AP it was transmitted toward even if the
 	// station detaches before it lands; it is shared with the fused path.
@@ -156,7 +156,7 @@ func NewStation(name string, medium *Medium, motion Motion, cfg StationConfig) *
 		engine: medium.engine,
 		medium: medium,
 		motion: motion,
-		addrs: make(map[inet.Addr]bool),
+		addrs:  make(map[inet.Addr]bool),
 		// A zero-bandwidth radio serializes instantly, collapsing the whole
 		// classic txDone chain into one instant whose nested scheduling
 		// interleave the analytic path cannot reproduce; such radios always
