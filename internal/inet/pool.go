@@ -16,10 +16,13 @@ package inet
 // chains held elsewhere are unaffected (the pool never follows pointers).
 type PacketPool struct {
 	free []*Packet
+
+	gets, fresh, puts uint64
 }
 
 // Get returns a zeroed packet, reusing a recycled one when available.
 func (pl *PacketPool) Get() *Packet {
+	pl.gets++
 	if n := len(pl.free); n > 0 {
 		pkt := pl.free[n-1]
 		pl.free[n-1] = nil
@@ -27,6 +30,7 @@ func (pl *PacketPool) Get() *Packet {
 		pkt.pooled = false
 		return pkt
 	}
+	pl.fresh++
 	return &Packet{}
 }
 
@@ -39,8 +43,16 @@ func (pl *PacketPool) Put(pkt *Packet) {
 		return
 	}
 	*pkt = Packet{pooled: true}
+	pl.puts++
 	pl.free = append(pl.free, pkt)
 }
 
 // Len returns the number of packets resting in the pool.
 func (pl *PacketPool) Len() int { return len(pl.free) }
+
+// Counts returns how many packets Get has handed out, how many of those
+// were freshly allocated rather than recycled, and how many packets Put
+// has taken back (double releases not counted).
+func (pl *PacketPool) Counts() (gets, fresh, puts uint64) {
+	return pl.gets, pl.fresh, pl.puts
+}

@@ -10,7 +10,7 @@ import (
 
 // TestUDPHopZeroAlloc pins the packet hot path: in steady state, sending
 // one pool-allocated UDP packet across a wired hop — serialization event,
-// propagation event, delivery, release, and reap — allocates nothing.
+// propagation event, delivery, release, and reclaim — allocates nothing.
 func TestUDPHopZeroAlloc(t *testing.T) {
 	engine := sim.NewEngine()
 	topo := NewTopology(engine)

@@ -156,7 +156,7 @@ func TestFusedHalvesWiredHopEvents(t *testing.T) {
 
 // benchWiredHop measures one pool-allocated UDP packet crossing a wired
 // hop end to end — send, serialization, propagation, delivery, release,
-// reap — on the selected transmit path. The CI gate pins both variants at
+// reclaim — on the selected transmit path. The CI gate pins both variants at
 // 0 allocs/op exactly; their ns/op ratio is the fused path's per-hop win.
 func benchWiredHop(b *testing.B, fused bool) {
 	prev := SetFusedLinks(fused)
@@ -221,8 +221,9 @@ func TestImpairDiscardReleasesToPool(t *testing.T) {
 	if discards != n/2 {
 		t.Fatalf("DiscardHook saw %d packets, want %d", discards, n/2)
 	}
-	// Every packet — delivered or discarded — must be back in the pool.
-	if got := topo.pool.Len(); got != n {
+	// Every packet — delivered or discarded — must be back at rest: in the
+	// pool, or released and awaiting the next AllocPacket's reclaim.
+	if got := topo.PoolStats().Resting; got != n {
 		t.Fatalf("pool recovered %d of %d packets; the discard path leaks", got, n)
 	}
 }

@@ -20,13 +20,15 @@ type Topology struct {
 	nextFlowID inet.FlowID
 
 	// Packet recycling: dead packets are parked in the graveyard and only
-	// returned to the pool by a reap event scheduled behind the current
-	// one, so observers chained later in the releasing event (tracing
-	// hooks, recorders) still read intact fields.
-	pool          inet.PacketPool
-	graveyard     []*inet.Packet
-	reapFn        sim.Handler
-	reapScheduled bool
+	// moved to the pool by an AllocPacket made after the releasing event
+	// has returned, so observers chained later in that event (tracing
+	// hooks, recorders) still read intact fields. No event is scheduled
+	// for it: releasedAt is the engine's firing counter at the latest
+	// release and releasedFiring whether a handler was running then.
+	pool           inet.PacketPool
+	graveyard      []*inet.Packet
+	releasedAt     uint64
+	releasedFiring bool
 }
 
 // NewTopology creates an empty topology bound to an engine.
@@ -34,46 +36,67 @@ func NewTopology(engine *sim.Engine) *Topology {
 	if engine == nil {
 		panic("netsim: NewTopology with nil engine")
 	}
-	t := &Topology{
+	return &Topology{
 		engine: engine,
 		owners: make(map[inet.NetID]Node),
 	}
-	t.reapFn = t.reap
-	return t
 }
 
 // AllocPacket returns a zeroed packet from the topology's free list. The
 // caller fills in every field it needs; recycled packets carry nothing
 // over from their previous life.
-func (t *Topology) AllocPacket() *inet.Packet { return t.pool.Get() }
+func (t *Topology) AllocPacket() *inet.Packet {
+	if len(t.graveyard) > 0 && t.releaseSettled() {
+		for i, pkt := range t.graveyard {
+			t.pool.Put(pkt)
+			t.graveyard[i] = nil
+		}
+		t.graveyard = t.graveyard[:0]
+	}
+	return t.pool.Get()
+}
+
+// releaseSettled reports whether the event (or call stack) that made the
+// latest release has returned: another event has fired since, or the
+// release came from inside an event and none is running now.
+func (t *Topology) releaseSettled() bool {
+	if t.engine.Processed() != t.releasedAt {
+		return true
+	}
+	_, _, _, _, firing := t.engine.FiringKey()
+	return t.releasedFiring && !firing
+}
 
 // ReleasePacket recycles a dead packet into the topology's free list. Call
 // it only from a final sink (deliver or drop) that owns the packet
-// outright; the slot is actually reclaimed in a follow-up event, so hooks
-// running later in the same event still see the packet intact. Inner
-// packets are not released implicitly — release each layer of a chain
-// explicitly once it is dead. Releasing the same packet twice in one cycle
-// is a harmless no-op.
+// outright; the slot is reclaimed only by an AllocPacket made after the
+// releasing event has returned, so hooks running later in the same event
+// still see the packet intact. Inner packets are not released implicitly
+// — release each layer of a chain explicitly once it is dead. Releasing
+// the same packet twice in one cycle is a harmless no-op.
 func (t *Topology) ReleasePacket(pkt *inet.Packet) {
 	if pkt == nil {
 		return
 	}
 	t.graveyard = append(t.graveyard, pkt)
-	if !t.reapScheduled {
-		t.reapScheduled = true
-		t.engine.Schedule(0, t.reapFn)
-	}
+	t.releasedAt = t.engine.Processed()
+	_, _, _, _, t.releasedFiring = t.engine.FiringKey()
 }
 
-// reap moves graveyard packets into the pool once the releasing event (and
-// its same-instant observers) have run.
-func (t *Topology) reap() {
-	t.reapScheduled = false
-	for i, pkt := range t.graveyard {
-		t.pool.Put(pkt)
-		t.graveyard[i] = nil
-	}
-	t.graveyard = t.graveyard[:0]
+// PoolStats counts a topology's packet recycling.
+type PoolStats struct {
+	// Gets counts AllocPacket calls, Fresh those the pool could not serve
+	// from a recycled packet, and Puts the packets moved into the pool.
+	Gets, Fresh, Puts uint64
+	// Resting is the number of packets in the pool plus those released
+	// but not yet reclaimed.
+	Resting int
+}
+
+// PoolStats returns the topology's packet-recycling counters.
+func (t *Topology) PoolStats() PoolStats {
+	gets, fresh, puts := t.pool.Counts()
+	return PoolStats{Gets: gets, Fresh: fresh, Puts: puts, Resting: t.pool.Len() + len(t.graveyard)}
 }
 
 // Engine returns the simulation engine.

@@ -56,24 +56,11 @@ func RunTCPTrace(p TCPTraceParams) TCPTraceResult {
 	}
 	lo := res.Handoff.Detached - 300*sim.Millisecond
 	hi := res.Handoff.Attached + 2*sim.Second
-	window := func(in []stats.SeqSample) []stats.SeqSample {
-		var out []stats.SeqSample
-		for _, s := range in {
-			if s.At >= lo && s.At <= hi {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-	res.Send = window(tb.Sender.SendTrace.Samples())
-	res.Ack = window(tb.Sender.AckTrace.Samples())
-	res.Recv = window(tb.Receiver.RecvTrace.Samples())
-
-	for _, s := range tb.Receiver.RecvTrace.Samples() {
-		if s.At > res.Handoff.Detached {
-			res.StallAfterDetach = s.At - res.Handoff.Detached
-			break
-		}
+	res.Send = tb.Sender.SendTrace.Window(lo, hi)
+	res.Ack = tb.Sender.AckTrace.Window(lo, hi)
+	res.Recv = tb.Receiver.RecvTrace.Window(lo, hi)
+	if s, ok := tb.Receiver.RecvTrace.FirstAfter(res.Handoff.Detached); ok {
+		res.StallAfterDetach = s.At - res.Handoff.Detached
 	}
 	return res
 }

@@ -266,10 +266,11 @@ func NewTestbed(p Params) *Testbed {
 
 	// releaseUDPChain recycles a dead UDP data packet (and any tunnel
 	// wrappers around it) into the topology's pool. Only UDP data is
-	// recycled: control payloads stay off the pool so retransmission
-	// bookkeeping can never meet a recycled struct, and TCP is left to the
-	// garbage collector. The reclaim is deferred one event, so hooks
-	// chained after this one (tracing) still read the packet intact.
+	// recycled here: control payloads stay off the pool so retransmission
+	// bookkeeping can never meet a recycled struct, and these testbeds
+	// carry no TCP (the WLAN testbed recycles its TCP packets at its own
+	// sinks). The reclaim waits until the releasing event has returned, so
+	// hooks chained after this one (tracing) still read the packet intact.
 	releaseUDPChain := func(pkt *inet.Packet) {
 		if pkt.Innermost().Proto != inet.ProtoUDP {
 			return
@@ -401,7 +402,7 @@ func (tb *Testbed) AddMobileHost(motion wireless.Motion, flows []FlowSpec) *MHUn
 	mh.OnDeliver = func(pkt *inet.Packet) {
 		sink(pkt)
 		// The delivered UDP packet is dead once recorded; recycle it
-		// (deferred one event, so tracing wrappers still read it).
+		// (reclaimed after this event, so tracing wrappers still read it).
 		if pkt.Proto == inet.ProtoUDP {
 			tb.Topo.ReleasePacket(pkt)
 		}

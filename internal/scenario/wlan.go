@@ -180,6 +180,12 @@ func NewWLANTestbed(p WLANParams) *WLANTestbed {
 	mh.Attach(ap1, ar.Addr(), NetWLAN)
 	ar.AttachResident(mh.LCoA(), ap1Link.A())
 
+	// Both ends draw their packets from the topology's pool, and the two
+	// final sinks below recycle them once the segment is consumed (the
+	// reclaim waits for the releasing event to return, so hooks chained
+	// after a sink still read the packet intact). TCP packets dropped on
+	// the way (buffer, air, uplink) are left to the garbage collector:
+	// their drop sinks only record them.
 	flow := topo.NewFlowID()
 	sender := tcp.NewSender(engine, tcp.SenderConfig{
 		Src:        cn.Addr(),
@@ -188,18 +194,22 @@ func NewWLANTestbed(p WLANParams) *WLANTestbed {
 		MSS:        p.MSS,
 		NewReno:    p.NewReno,
 		LimitBytes: p.TransferBytes,
+		Alloc:      topo.AllocPacket,
 	}, cn.Send, topo.NewPacketID)
 	receiver := tcp.NewReceiver(engine, mh.LCoA(), cn.Addr(), flow,
 		mh.SendData, p.ThroughputWindow)
+	receiver.Alloc = topo.AllocPacket
 
 	cn.Receive = func(pkt *inet.Packet) {
 		if seg, ok := pkt.Payload.(*tcp.Segment); ok {
 			sender.HandleAck(seg)
+			topo.ReleasePacket(pkt)
 		}
 	}
 	mh.OnDeliver = func(pkt *inet.Packet) {
 		if seg, ok := pkt.Payload.(*tcp.Segment); ok {
 			receiver.Handle(seg)
+			topo.ReleasePacket(pkt)
 		}
 	}
 

@@ -59,14 +59,8 @@ func TestWLANUnbufferedTCPStalls(t *testing.T) {
 	rec := tb.MH.Handoffs()[0]
 	// Locate the reception gap straddling the blackout: it must last
 	// 1–1.7 s (min RTO 1 s + 500 ms tick granularity), the thesis' stall.
-	var resume sim.Time
-	for _, s := range tb.Receiver.RecvTrace.Samples() {
-		if s.At > rec.Detached {
-			resume = s.At
-			break
-		}
-	}
-	stall := resume - rec.Detached
+	resume, _ := tb.Receiver.RecvTrace.FirstAfter(rec.Detached)
+	stall := resume.At - rec.Detached
 	if stall < sim.Second || stall > 1800*sim.Millisecond {
 		t.Errorf("stall = %v, want the thesis' 1–1.5 s class", stall)
 	}
@@ -115,5 +109,20 @@ func TestWLANThroughputDipsOnlyDuringHandoff(t *testing.T) {
 	if m == 0 || after/float64(m) < before/float64(n)/2 {
 		t.Errorf("post-handoff goodput %.0f b/s did not recover (steady %.0f)",
 			after/float64(max(m, 1)), before/float64(n))
+	}
+}
+
+// TestWLANTCPPacketsRecycled pins the pooled TCP path: over a 20 s run,
+// buffered or not, data segments and ACKs are drawn from the topology's
+// pool and recycled at their sinks, so the tens of thousands of packets
+// the transfer sends need at most a few hundred fresh allocations (the
+// in-flight window, plus segments dropped during the blackout).
+func TestWLANTCPPacketsRecycled(t *testing.T) {
+	for _, buffered := range []bool{true, false} {
+		st := runWLAN(t, buffered).Topo.PoolStats()
+		if st.Gets <= 30_000 || st.Fresh > 512 {
+			t.Errorf("buffered=%v: %d pool gets, %d fresh allocations; want > 30000 gets and at most 512 fresh",
+				buffered, st.Gets, st.Fresh)
+		}
 	}
 }

@@ -63,21 +63,102 @@ type SeqSample struct {
 	Seq uint64
 }
 
-// SeqTrace records sequence-number events over time.
+// seqChunkLen is the number of samples one SeqTrace chunk holds.
+const seqChunkLen = 512
+
+// seqChunk is one fixed-size block of a SeqTrace; chunks form a list in
+// recording order.
+type seqChunk struct {
+	samples [seqChunkLen]SeqSample
+	next    *seqChunk
+}
+
+// SeqTrace records sequence-number events over time. Samples live in
+// fixed chunks of 512, so recording never copies earlier samples and
+// allocates once per chunk.
 type SeqTrace struct {
-	samples []SeqSample
+	head, tail *seqChunk
+	n          int
 }
 
 // Record appends one event.
 func (tr *SeqTrace) Record(at sim.Time, seq uint64) {
-	tr.samples = append(tr.samples, SeqSample{At: at, Seq: seq})
+	i := tr.n % seqChunkLen
+	if i == 0 {
+		c := new(seqChunk)
+		if tr.tail == nil {
+			tr.head = c
+		} else {
+			tr.tail.next = c
+		}
+		tr.tail = c
+	}
+	tr.tail.samples[i] = SeqSample{At: at, Seq: seq}
+	tr.n++
 }
 
-// Samples returns the recorded events in order.
-func (tr *SeqTrace) Samples() []SeqSample { return tr.samples }
+// each calls fn on every event in recording order until fn returns false.
+func (tr *SeqTrace) each(fn func(SeqSample) bool) {
+	left := tr.n
+	for c := tr.head; c != nil; c = c.next {
+		k := min(left, seqChunkLen)
+		for _, s := range c.samples[:k] {
+			if !fn(s) {
+				return
+			}
+		}
+		left -= k
+	}
+}
+
+// Samples returns a copy of the recorded events in order.
+func (tr *SeqTrace) Samples() []SeqSample {
+	out := make([]SeqSample, 0, tr.n)
+	tr.each(func(s SeqSample) bool {
+		out = append(out, s)
+		return true
+	})
+	return out
+}
+
+// Window returns a copy of the events with lo ≤ At ≤ hi, in order, or
+// nil when there are none.
+func (tr *SeqTrace) Window(lo, hi sim.Time) []SeqSample {
+	in := func(s SeqSample) bool { return s.At >= lo && s.At <= hi }
+	n := 0
+	tr.each(func(s SeqSample) bool {
+		if in(s) {
+			n++
+		}
+		return true
+	})
+	if n == 0 {
+		return nil
+	}
+	out := make([]SeqSample, 0, n)
+	tr.each(func(s SeqSample) bool {
+		if in(s) {
+			out = append(out, s)
+		}
+		return true
+	})
+	return out
+}
+
+// FirstAfter returns the first event with At > t; ok is false when no
+// event is later than t.
+func (tr *SeqTrace) FirstAfter(t sim.Time) (first SeqSample, ok bool) {
+	tr.each(func(s SeqSample) bool {
+		if s.At > t {
+			first, ok = s, true
+		}
+		return !ok
+	})
+	return first, ok
+}
 
 // Len returns the number of events.
-func (tr *SeqTrace) Len() int { return len(tr.samples) }
+func (tr *SeqTrace) Len() int { return tr.n }
 
 // Summary accumulates scalar samples (e.g. one metric across seeds) and
 // reports mean and standard deviation.

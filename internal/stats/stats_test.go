@@ -273,6 +273,61 @@ func TestSeqTrace(t *testing.T) {
 	}
 }
 
+// TestSeqTraceChunks records past three chunks: order survives the chunk
+// boundaries, Window bounds are inclusive across one, and FirstAfter
+// finds nothing past the end.
+func TestSeqTraceChunks(t *testing.T) {
+	var tr SeqTrace
+	const n = 3*seqChunkLen + 17
+	for i := 0; i < n; i++ {
+		tr.Record(sim.Time(i)*sim.Millisecond, uint64(i))
+	}
+	if tr.Len() != n {
+		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	}
+	all := tr.Samples()
+	if len(all) != n {
+		t.Fatalf("Samples has %d events, want %d", len(all), n)
+	}
+	for i, s := range all {
+		if s.Seq != uint64(i) || s.At != sim.Time(i)*sim.Millisecond {
+			t.Fatalf("Samples()[%d] = %+v", i, s)
+		}
+	}
+
+	// [chunk end − 2, next chunk start + 2]: both bounds hit a sample.
+	lo, hi := seqChunkLen-2, seqChunkLen+2
+	w := tr.Window(sim.Time(lo)*sim.Millisecond, sim.Time(hi)*sim.Millisecond)
+	if len(w) != hi-lo+1 || w[0].Seq != uint64(lo) || w[len(w)-1].Seq != uint64(hi) {
+		t.Fatalf("Window = %v, want seq %d..%d inclusive", w, lo, hi)
+	}
+	if w := tr.Window(-2*sim.Millisecond, -sim.Millisecond); w != nil {
+		t.Fatalf("empty Window = %v, want nil", w)
+	}
+
+	if s, ok := tr.FirstAfter(sim.Time(2*seqChunkLen) * sim.Millisecond); !ok || s.Seq != 2*seqChunkLen+1 {
+		t.Fatalf("FirstAfter = %+v, %v", s, ok)
+	}
+	if s, ok := tr.FirstAfter(sim.Time(n-1) * sim.Millisecond); ok {
+		t.Fatalf("FirstAfter past the end = %+v, want ok=false", s)
+	}
+}
+
+// TestSeqTraceRecordAllocs pins chunked recording: N samples cost at
+// most one allocation per 512-sample chunk, plus one.
+func TestSeqTraceRecordAllocs(t *testing.T) {
+	const n = 4*seqChunkLen + 1
+	allocs := testing.AllocsPerRun(5, func() {
+		var tr SeqTrace
+		for i := 0; i < n; i++ {
+			tr.Record(sim.Time(i), uint64(i))
+		}
+	})
+	if max := float64((n+seqChunkLen-1)/seqChunkLen + 1); allocs > max {
+		t.Fatalf("recording %d samples allocated %.0f times, want at most %.0f", n, allocs, max)
+	}
+}
+
 // Property: sent/delivered/lost accounting is consistent for any
 // interleaving.
 func TestPropertyRecorderAccounting(t *testing.T) {

@@ -25,6 +25,10 @@ type Receiver struct {
 	// Goodput buckets in-order bytes for the Figure 4.14 throughput curve.
 	RecvTrace stats.SeqTrace
 	Goodput   *stats.TimeSeries
+
+	// Alloc, if set, supplies zeroed packet structs for ACKs (typically a
+	// topology's recycling pool); nil falls back to plain allocation.
+	Alloc func() *inet.Packet
 }
 
 // NewReceiver creates a receiver acknowledging toward dst. send transmits
@@ -92,7 +96,8 @@ func (r *Receiver) advance(length int, now sim.Time) {
 }
 
 func (r *Receiver) sendAck() {
-	r.send(&inet.Packet{
+	pkt := newPacket(r.Alloc)
+	*pkt = inet.Packet{
 		Src:     r.src,
 		Dst:     r.dst,
 		Proto:   inet.ProtoTCP,
@@ -100,5 +105,6 @@ func (r *Receiver) sendAck() {
 		Size:    HeaderSize,
 		Created: r.engine.Now(),
 		Payload: &Segment{Ack: true, AckNo: r.rcvNxt},
-	})
+	}
+	r.send(pkt)
 }

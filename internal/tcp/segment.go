@@ -10,7 +10,11 @@
 // long-lived established connection.
 package tcp
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/inet"
+)
 
 // Segment is the TCP payload carried inside an inet.Packet.
 type Segment struct {
@@ -43,3 +47,13 @@ func (s *Segment) String() string {
 
 // HeaderSize is the combined TCP/IP header overhead per segment.
 const HeaderSize = 40
+
+// newPacket returns a zeroed packet from alloc, or a fresh one when alloc
+// is nil. The branch matters: a fresh packet allocated up front and then
+// overwritten by alloc's would still escape to the heap.
+func newPacket(alloc func() *inet.Packet) *inet.Packet {
+	if alloc != nil {
+		return alloc()
+	}
+	return new(inet.Packet)
+}

@@ -38,6 +38,10 @@ type SenderConfig struct {
 	// new bytes at the limit (an FTP of a fixed file). Zero means
 	// unlimited.
 	LimitBytes uint64
+	// Alloc, if set, supplies zeroed packet structs for data segments
+	// (typically a topology's recycling pool); nil falls back to plain
+	// allocation.
+	Alloc func() *inet.Packet
 }
 
 // Defaults for SenderConfig fields left zero.
@@ -209,7 +213,8 @@ func (s *Sender) transmit(seq uint64) {
 	if end := seg.End(); end > s.maxSent {
 		s.maxSent = end
 	}
-	pkt := &inet.Packet{
+	pkt := newPacket(s.cfg.Alloc)
+	*pkt = inet.Packet{
 		Src:     s.cfg.Src,
 		Dst:     s.cfg.Dst,
 		Proto:   inet.ProtoTCP,
