@@ -57,7 +57,6 @@ func run(args []string, stdout io.Writer) error {
 	specList := fs.String("spec", defaultSpecs, "comma-separated runner specs for -replicas (see -list)")
 	shards := fs.Int("shards", 0, "shard count for the city scenario (0: fixed default; results depend on the shard count, never on workers)")
 	workers := fs.Int("workers", 0, "goroutines running city shards (0: GOMAXPROCS; any value yields byte-identical results)")
-	fixedEpochs := fs.Bool("fixed-epochs", false, "run the city shard barrier in fixed-width epoch mode (the adaptive baseline; results are identical)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceOut := fs.String("trace", "", "write a runtime execution trace to this file")
@@ -66,7 +65,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	scenario.SetDefaultCityShards(*shards)
 	scenario.SetDefaultCityWorkers(*workers)
-	scenario.SetDefaultCityFixedEpochs(*fixedEpochs)
 	stopProfiles, err := prof.Start(*cpuProfile, *memProfile, *traceOut)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/inet"
@@ -16,11 +17,15 @@ type arrival struct {
 
 // TestFusedMatchesClassicDifferential is the seeded differential property
 // test for the analytic transmit path: random bandwidth/delay/queue-limit/
-// byte-limit configurations carry identical random burst patterns through a
-// fused and a classic link wired side by side on one engine, and every
-// observable — delivery times and order, drop decisions, and the
-// Sent/Dropped/QueueLen/QueueBytes counters read at random mid-run instants
-// — must match exactly. Runs under -race in CI.
+// byte-limit configurations, with or without an ID-keyed Impair discard
+// pattern, carry identical random burst patterns through an Iface and the
+// two-event reference model (classicRef) on one engine, and every
+// observable — delivery times and order, drop and discard decisions, and
+// the Sent/Dropped/QueueLen/QueueBytes counters read at random mid-run
+// instants — must match exactly. When the delay allows a cross-shard link,
+// the same traffic also crosses a link between the two shards of a
+// sim.ShardGroup, which must deliver at the reference's instants, in the
+// same order. Runs under -race in CI.
 func TestFusedMatchesClassicDifferential(t *testing.T) {
 	bands := []int64{0, 125_000, 1_000_000, 3_000_000, 9_600_000, 1_000_000_000}
 	delays := []sim.Time{0, sim.Millisecond, 3 * sim.Millisecond, 7 * sim.Millisecond}
@@ -35,111 +40,157 @@ func TestFusedMatchesClassicDifferential(t *testing.T) {
 			QueueLimit:      qlims[rng.Intn(len(qlims))],
 			QueueLimitBytes: blims[rng.Intn(len(blims))],
 		}
+		// Impair column: half the trials discard every k-th packet ID on
+		// all sides, before the link sees it.
+		var impair func(pkt *inet.Packet) bool
+		if k := uint64(rng.Intn(8)); k >= 2 && k <= 5 {
+			impair = func(pkt *inet.Packet) bool { return pkt.ID%k == 0 }
+		}
+
+		// Random bursts: the same (id, size) sequence enters every link in
+		// the same event, so any divergence is the link's doing.
+		type burst struct {
+			at    sim.Time
+			ids   []uint64
+			sizes []int
+		}
+		var bursts []burst
+		var nextID uint64
+		for k, n := 0, 4+rng.Intn(16); k < n; k++ {
+			b := burst{at: sim.Time(rng.Intn(40)) * sim.Millisecond}
+			for j, m := 0, 1+rng.Intn(6); j < m; j++ {
+				nextID++
+				b.ids = append(b.ids, nextID)
+				b.sizes = append(b.sizes, 40+rng.Intn(1461))
+			}
+			bursts = append(bursts, b)
+		}
+		// side is one link under test and what it observed.
+		type side struct {
+			arr          []arrival
+			drops, discs []uint64
+		}
+		// wire installs the observers on a sending Iface and its receiver.
+		wire := func(s *side, e *sim.Engine, ifc *Iface, rcv *Host) {
+			rcv.Receive = func(pkt *inet.Packet) { s.arr = append(s.arr, arrival{e.Now(), pkt.ID}) }
+			ifc.DropHook = func(pkt *inet.Packet) { s.drops = append(s.drops, pkt.ID) }
+			ifc.Impair = impair
+			ifc.DiscardHook = func(pkt *inet.Packet) { s.discs = append(s.discs, pkt.ID) }
+		}
 
 		e := sim.NewEngine()
-		a := NewHost("a", inet.Addr{Net: 1, Host: 1})
-		b := NewHost("b", inet.Addr{Net: 2, Host: 1})
+		var ref, fused side
+		rl := newClassicRef(e, cfg, func(pkt *inet.Packet) { ref.arr = append(ref.arr, arrival{e.Now(), pkt.ID}) })
+		rl.DropHook = func(pkt *inet.Packet) { ref.drops = append(ref.drops, pkt.ID) }
+		rl.Impair = impair
+		rl.DiscardHook = func(pkt *inet.Packet) { ref.discs = append(ref.discs, pkt.ID) }
 		c := NewHost("c", inet.Addr{Net: 3, Host: 1})
 		d := NewHost("d", inet.Addr{Net: 4, Host: 1})
-		prev := SetFusedLinks(false)
-		lc := Connect(e, a, b, cfg) // classic
-		SetFusedLinks(true)
-		lf := Connect(e, c, d, cfg) // fused
-		SetFusedLinks(prev)
-
-		var arrC, arrF []arrival
-		b.Receive = func(pkt *inet.Packet) { arrC = append(arrC, arrival{e.Now(), pkt.ID}) }
-		d.Receive = func(pkt *inet.Packet) { arrF = append(arrF, arrival{e.Now(), pkt.ID}) }
-		var dropC, dropF []uint64
-		lc.A().DropHook = func(pkt *inet.Packet) { dropC = append(dropC, pkt.ID) }
-		lf.A().DropHook = func(pkt *inet.Packet) { dropF = append(dropF, pkt.ID) }
-
-		// Random bursts: the same (id, size) sequence enters both links in
-		// the same event, so any divergence is the link's doing.
-		var nextID uint64
-		bursts := 4 + rng.Intn(16)
-		for k := 0; k < bursts; k++ {
-			at := sim.Time(rng.Intn(40)) * sim.Millisecond
-			n := 1 + rng.Intn(6)
-			sizes := make([]int, n)
-			for j := range sizes {
-				sizes[j] = 40 + rng.Intn(1461)
-			}
-			e.At(at, func() {
-				for _, size := range sizes {
-					nextID++
-					pc := newPkt(a.Addr(), b.Addr(), size)
-					pc.ID = nextID
-					pf := newPkt(c.Addr(), d.Addr(), size)
-					pf.ID = nextID
-					a.Send(pc)
+		lf := Connect(e, c, d, cfg)
+		wire(&fused, e, lf.A(), d)
+		for _, b := range bursts {
+			e.At(b.at, func() {
+				for j, id := range b.ids {
+					pr := newPkt(c.Addr(), d.Addr(), b.sizes[j])
+					pr.ID = id
+					pf := newPkt(c.Addr(), d.Addr(), b.sizes[j])
+					pf.ID = id
+					rl.Send(pr)
 					c.Send(pf)
 				}
 			})
 		}
 		// Random mid-run readers: the lazily drained ring must reconstruct
-		// the classic counters at every instant, not just at the end.
+		// the reference counters at every instant, not just at the end.
 		for k := 0; k < 8; k++ {
 			at := sim.Time(rng.Intn(45)) * sim.Millisecond
 			e.At(at, func() {
-				ic, ifd := lc.A(), lf.A()
-				if ic.Sent() != ifd.Sent() || ic.Dropped() != ifd.Dropped() ||
-					ic.QueueLen() != ifd.QueueLen() || ic.QueueBytes() != ifd.QueueBytes() {
-					t.Errorf("trial %d cfg %+v at %v: classic sent=%d dropped=%d qlen=%d qbytes=%d, fused sent=%d dropped=%d qlen=%d qbytes=%d",
+				ifd := lf.A()
+				if rl.Sent() != ifd.Sent() || rl.Dropped() != ifd.Dropped() ||
+					rl.QueueLen() != ifd.QueueLen() || rl.QueueBytes() != ifd.QueueBytes() {
+					t.Errorf("trial %d cfg %+v at %v: reference sent=%d dropped=%d qlen=%d qbytes=%d, fused sent=%d dropped=%d qlen=%d qbytes=%d",
 						trial, cfg, e.Now(),
-						ic.Sent(), ic.Dropped(), ic.QueueLen(), ic.QueueBytes(),
+						rl.Sent(), rl.Dropped(), rl.QueueLen(), rl.QueueBytes(),
 						ifd.Sent(), ifd.Dropped(), ifd.QueueLen(), ifd.QueueBytes())
 				}
 			})
 		}
-
 		if err := e.RunAll(); err != nil {
 			t.Fatalf("trial %d: RunAll: %v", trial, err)
 		}
+		check := func(what string, got side, l *Link) {
+			t.Helper()
+			sameSeq(t, fmt.Sprintf("trial %d cfg %+v: %s deliveries", trial, cfg, what), ref.arr, got.arr)
+			sameSeq(t, fmt.Sprintf("trial %d cfg %+v: %s drops", trial, cfg, what), ref.drops, got.drops)
+			sameSeq(t, fmt.Sprintf("trial %d cfg %+v: %s discards", trial, cfg, what), ref.discs, got.discs)
+			if ifc := l.A(); rl.Sent() != ifc.Sent() || rl.Dropped() != ifc.Dropped() ||
+				uint64(len(ref.arr)) != l.B().Delivers() ||
+				rl.QueueLen() != ifc.QueueLen() || rl.QueueBytes() != ifc.QueueBytes() {
+				t.Fatalf("trial %d cfg %+v: %s final counters diverge: reference sent=%d dropped=%d delivers=%d, got sent=%d dropped=%d delivers=%d",
+					trial, cfg, what, rl.Sent(), rl.Dropped(), len(ref.arr),
+					ifc.Sent(), ifc.Dropped(), l.B().Delivers())
+			}
+		}
+		check("fused", fused, lf)
+		if impair != nil && len(ref.discs) == 0 {
+			t.Fatalf("trial %d: impaired run discarded nothing", trial)
+		}
 
-		if len(arrC) != len(arrF) {
-			t.Fatalf("trial %d cfg %+v: %d classic deliveries vs %d fused", trial, cfg, len(arrC), len(arrF))
+		// Cross-shard column: a cross-shard link needs a positive delay.
+		if cfg.Delay == 0 {
+			continue
 		}
-		for j := range arrC {
-			if arrC[j] != arrF[j] {
-				t.Fatalf("trial %d cfg %+v: delivery %d: classic %+v, fused %+v", trial, cfg, j, arrC[j], arrF[j])
-			}
+		e0, e1 := sim.NewEngine(), sim.NewEngine()
+		x := NewShardExchange()
+		g := NewHost("g", inet.Addr{Net: 5, Host: 1})
+		h := NewHost("h", inet.Addr{Net: 6, Host: 1})
+		lx := x.Connect(e0, e1, g, h, cfg)
+		var cross side
+		wire(&cross, e1, lx.A(), h)
+		for _, b := range bursts {
+			e0.At(b.at, func() {
+				for j, id := range b.ids {
+					p := newPkt(g.Addr(), h.Addr(), b.sizes[j])
+					p.ID = id
+					g.Send(p)
+				}
+			})
 		}
-		if len(dropC) != len(dropF) {
-			t.Fatalf("trial %d cfg %+v: %d classic drops vs %d fused", trial, cfg, len(dropC), len(dropF))
+		grp := sim.NewShardGroup([]*sim.Engine{e0, e1}, x.Lookahead(), 2)
+		grp.SetExchange(x.Flush)
+		if err := grp.RunAll(); err != nil {
+			t.Fatalf("trial %d: sharded RunAll: %v", trial, err)
 		}
-		for j := range dropC {
-			if dropC[j] != dropF[j] {
-				t.Fatalf("trial %d cfg %+v: drop %d: classic id %d, fused id %d", trial, cfg, j, dropC[j], dropF[j])
-			}
-		}
-		ic, ifd := lc.A(), lf.A()
-		if ic.Sent() != ifd.Sent() || ic.Dropped() != ifd.Dropped() ||
-			lc.B().Delivers() != lf.B().Delivers() ||
-			ic.QueueLen() != ifd.QueueLen() || ic.QueueBytes() != ifd.QueueBytes() {
-			t.Fatalf("trial %d cfg %+v: final counters diverge: classic sent=%d dropped=%d delivers=%d, fused sent=%d dropped=%d delivers=%d",
-				trial, cfg, ic.Sent(), ic.Dropped(), lc.B().Delivers(),
-				ifd.Sent(), ifd.Dropped(), lf.B().Delivers())
+		check("cross-shard", cross, lx)
+	}
+}
+
+// sameSeq fails the test unless got equals want element by element.
+func sameSeq[T comparable](t *testing.T, what string, want, got []T) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: reference has %d, got %d", what, len(want), len(got))
+	}
+	for j := range want {
+		if want[j] != got[j] {
+			t.Fatalf("%s: #%d: reference %+v, got %+v", what, j, want[j], got[j])
 		}
 	}
 }
 
-// TestFusedHalvesWiredHopEvents pins the tentpole's event economy: the same
-// burst over a fused link must cost exactly one scheduler event per packet
-// where the classic path costs two (txDone + deliver).
+// TestFusedHalvesWiredHopEvents pins the event economy: the same burst
+// costs exactly one scheduler event per packet over an Iface — with or
+// without an Impair hook — where the two-event reference costs two
+// (txDone + deliver).
 func TestFusedHalvesWiredHopEvents(t *testing.T) {
-	run := func(fused bool) uint64 {
+	const n = 100
+	cfg := LinkConfig{BandwidthBPS: 10_000_000, Delay: sim.Millisecond}
+	run := func(wire func(e *sim.Engine) func(*inet.Packet)) uint64 {
 		e := sim.NewEngine()
-		a := NewHost("a", inet.Addr{Net: 1, Host: 1})
-		b := NewHost("b", inet.Addr{Net: 2, Host: 1})
-		prev := SetFusedLinks(fused)
-		Connect(e, a, b, LinkConfig{BandwidthBPS: 10_000_000, Delay: sim.Millisecond})
-		SetFusedLinks(prev)
-		b.Receive = func(pkt *inet.Packet) {}
-		const n = 100
+		send := wire(e)
 		e.At(0, func() {
 			for i := 0; i < n; i++ {
-				a.Send(newPkt(a.Addr(), b.Addr(), 1000))
+				send(newPkt(inet.Addr{Net: 1, Host: 1}, inet.Addr{Net: 2, Host: 1}, 1000))
 			}
 		})
 		if err := e.RunAll(); err != nil {
@@ -147,20 +198,31 @@ func TestFusedHalvesWiredHopEvents(t *testing.T) {
 		}
 		return e.Processed()
 	}
-	classic, fused := run(false), run(true)
-	// 1 burst event + 2 events/packet classic, 1 event/packet fused.
-	if classic != 201 || fused != 101 {
-		t.Fatalf("events: classic=%d (want 201), fused=%d (want 101)", classic, fused)
+	iface := func(impair func(*inet.Packet) bool) func(e *sim.Engine) func(*inet.Packet) {
+		return func(e *sim.Engine) func(*inet.Packet) {
+			a := NewHost("a", inet.Addr{Net: 1, Host: 1})
+			b := NewHost("b", inet.Addr{Net: 2, Host: 1})
+			Connect(e, a, b, cfg).A().Impair = impair
+			b.Receive = func(pkt *inet.Packet) {}
+			return a.Send
+		}
+	}
+	reference := run(func(e *sim.Engine) func(*inet.Packet) {
+		return newClassicRef(e, cfg, func(pkt *inet.Packet) {}).Send
+	})
+	fused := run(iface(nil))
+	impaired := run(iface(func(pkt *inet.Packet) bool { return false })) // present but transparent
+	// 1 burst event + 2 events/packet reference, 1 event/packet fused.
+	if reference != 1+2*n || fused != 1+n || impaired != 1+n {
+		t.Fatalf("events: reference=%d (want %d), fused=%d (want %d), impaired=%d (want %d)",
+			reference, 1+2*n, fused, 1+n, impaired, 1+n)
 	}
 }
 
-// benchWiredHop measures one pool-allocated UDP packet crossing a wired
-// hop end to end — send, serialization, propagation, delivery, release,
-// reclaim — on the selected transmit path. The CI gate pins both variants at
-// 0 allocs/op exactly; their ns/op ratio is the fused path's per-hop win.
-func benchWiredHop(b *testing.B, fused bool) {
-	prev := SetFusedLinks(fused)
-	defer SetFusedLinks(prev)
+// BenchmarkWiredHopFused measures one pool-allocated UDP packet crossing a
+// wired hop end to end — send, serialization, propagation, delivery,
+// release, reclaim. The CI gate pins it at 0 allocs/op exactly.
+func BenchmarkWiredHopFused(b *testing.B) {
 	engine := sim.NewEngine()
 	topo := NewTopology(engine)
 	src := NewHost("a", inet.Addr{Net: 1, Host: 1})
@@ -187,9 +249,6 @@ func benchWiredHop(b *testing.B, fused bool) {
 		send()
 	}
 }
-
-func BenchmarkWiredHopFused(b *testing.B)   { benchWiredHop(b, true) }
-func BenchmarkWiredHopClassic(b *testing.B) { benchWiredHop(b, false) }
 
 // TestImpairDiscardReleasesToPool pins the fix for the pooled-packet leak on
 // the Impair discard path: a discarded packet reaches the DiscardHook, and a
@@ -225,33 +284,5 @@ func TestImpairDiscardReleasesToPool(t *testing.T) {
 	// pool, or released and awaiting the next AllocPacket's reclaim.
 	if got := topo.PoolStats().Resting; got != n {
 		t.Fatalf("pool recovered %d of %d packets; the discard path leaks", got, n)
-	}
-}
-
-// TestFusedFallsBackUnderImpair pins the mode commit: a link whose Impair
-// hook exists at first Send stays on the classic path even when fusion is
-// the process default, and behaves identically to a plain classic link.
-func TestFusedFallsBackUnderImpair(t *testing.T) {
-	if !FusedLinks() {
-		t.Skip("fusion disabled via NETSIM_FUSED=0")
-	}
-	e := sim.NewEngine()
-	a := NewHost("a", inet.Addr{Net: 1, Host: 1})
-	b := NewHost("b", inet.Addr{Net: 2, Host: 1})
-	l := Connect(e, a, b, LinkConfig{BandwidthBPS: 1_000_000, Delay: sim.Millisecond})
-	l.A().Impair = func(pkt *inet.Packet) bool { return false } // present but transparent
-	var got int
-	b.Receive = func(pkt *inet.Packet) { got++ }
-	for i := 0; i < 3; i++ {
-		a.Send(newPkt(a.Addr(), b.Addr(), 500))
-	}
-	if err := e.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if l.A().mode != modeClassic {
-		t.Fatalf("mode = %d, want classic fallback under Impair", l.A().mode)
-	}
-	if got != 3 || l.A().Sent() != 3 {
-		t.Fatalf("delivered %d sent %d, want 3/3", got, l.A().Sent())
 	}
 }

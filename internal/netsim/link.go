@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/inet"
 	"repro/internal/sim"
@@ -30,45 +29,17 @@ type LinkConfig struct {
 // handover buffers, not the link queues.
 const DefaultQueueLimit = 1000
 
-// classicLinks selects the classic txDone-then-deliver transmit path for
-// links wired from now on. Its zero value keeps the analytic ("fused")
-// path: one pre-pinned delivery event per packet (DESIGN.md §12). Both
-// paths produce identical results; the differential tests build classic
-// links to prove it.
-var classicLinks atomic.Bool
-
-// SetFusedLinks selects the transmit path for links wired from now on and
-// returns the previous setting. An Iface latches the setting at Connect
-// time, so a test can build a fused and a classic link side by side on one
-// engine by toggling around the Connect calls.
-func SetFusedLinks(on bool) bool { return !classicLinks.Swap(!on) }
-
-// FusedLinks reports whether links wired from now on use the analytic
-// transmit path.
-func FusedLinks() bool { return !classicLinks.Load() }
-
-// linkMode is an Iface's committed transmit path.
-type linkMode uint8
-
-const (
-	// modeUnset: not committed yet; the first Send decides.
-	modeUnset linkMode = iota
-	// modeClassic: two scheduler events per packet (txDone, deliver).
-	modeClassic
-	// modeFused: analytic departures, one pre-pinned delivery event.
-	modeFused
-)
-
-// txEntry is one analytically computed departure pending in a fused
-// Iface's ring: enough state to replay, at any later read, exactly the
-// counter and occupancy updates the classic txDone event would have
-// applied at dep — including which side of an equal-instant tie the
-// txDone would have fired on (the phantom key, see drainRing).
+// txEntry is one analytically computed departure pending in an Iface's
+// ring: enough state to replay, at any later read, exactly the counter and
+// occupancy updates a departure event would have applied at dep in the
+// two-event link model (departure, then delivery) that the transmit path
+// reproduces — including which side of an equal-instant tie that departure
+// would have fired on (the phantom key, see drainRing).
 type txEntry struct {
-	dep  sim.Time // serialization end; the classic txDone instant
+	dep  sim.Time // serialization end; the phantom departure instant
 	size int
-	// Phantom txDone ordering key at instant dep. pvins is the instant
-	// the classic path would have inserted the txDone (serialization
+	// Phantom departure ordering key at instant dep. pvins is the instant
+	// the two-event model would have inserted the departure (serialization
 	// start); (pvins2, pvseq2) the inserting context — the Send-time
 	// firing event for a busy-period root, the predecessor's
 	// (pvins, pseq) down a backlog chain; pseq the sequence slot the
@@ -104,37 +75,27 @@ type Iface struct {
 	peer   *Iface
 	link   *Link
 
-	queue       []*inet.Packet
-	queuedBytes int
-	busy        bool
-	sent        uint64
-	dropped     uint64
-	delivers    uint64
+	sent     uint64
+	dropped  uint64
+	delivers uint64
 
-	// Zero-alloc transmit state: txPkt is the packet currently
-	// serializing, inflight the FIFO of packets propagating on the wire
-	// (per-direction delay is constant, so deliveries complete in
-	// scheduling order), and txDoneFn/deliverFn the handlers pre-bound
-	// once in Connect so the hot path schedules no fresh closures.
-	txPkt     *inet.Packet
+	// Zero-alloc delivery state: inflight is the FIFO of packets on the
+	// wire (per-direction delay is constant, so deliveries complete in
+	// scheduling order), and deliverFn the handler pre-bound once at
+	// link construction so the hot path schedules no fresh closure.
 	inflight  []*inet.Packet
-	txDoneFn  sim.Handler
 	deliverFn sim.Handler
 
 	// xport, when non-nil, marks this direction as crossing a shard
-	// boundary: finished transmissions park in the port's outbox for the
-	// next barrier flush instead of scheduling a same-engine delivery.
-	// See ShardExchange.
+	// boundary: transmissions park in the port's outbox at their arrival
+	// instant for the next barrier flush instead of scheduling a
+	// same-engine delivery. See ShardExchange.
 	xport *xPort
 
-	// Analytic ("fused") transmit state — see DESIGN.md §12. fusedCfg is
-	// latched from the package setting at Connect; mode commits at the
-	// first Send (classic when an Impair hook is installed by then).
-	// busyUntil is the per-direction serialization clock, ring the FIFO
-	// of departures not yet folded into the counters (drained lazily),
-	// and ringBytes the byte sum of the live ring entries.
-	fusedCfg  bool
-	mode      linkMode
+	// Analytic transmit state — see DESIGN.md §12. busyUntil is the
+	// per-direction serialization clock, ring the FIFO of departures not
+	// yet folded into the counters (drained lazily), and ringBytes the
+	// byte sum of the live ring entries.
 	busyUntil sim.Time
 	ring      []txEntry
 	ringHead  int
@@ -184,7 +145,7 @@ func (i *Iface) QueueLen() int {
 	if m := len(i.ring) - i.ringHead; m > 0 {
 		return m - 1
 	}
-	return len(i.queue)
+	return 0
 }
 
 // QueueBytes returns the bytes waiting behind the one in transmission.
@@ -193,7 +154,7 @@ func (i *Iface) QueueBytes() int {
 	if m := len(i.ring) - i.ringHead; m > 0 {
 		return i.ringBytes - i.ring[i.ringHead].size
 	}
-	return i.queuedBytes
+	return 0
 }
 
 // String identifies the interface as "node->peer".
@@ -204,6 +165,14 @@ func (i *Iface) String() string {
 // Send queues pkt for transmission toward the peer. If the transmitter is
 // idle the packet starts serializing immediately; otherwise it joins the
 // droptail queue and is dropped if the queue is full.
+//
+// No departure event is scheduled: the departure instant follows from
+// the per-direction busyUntil clock, the droptail/byte-limit decision from
+// the lazily drained departure ring, and the single delivery event is
+// pinned (sim.AtPinned) exactly where a departure-then-delivery event chain
+// would have inserted it, so equal-instant ordering — and therefore every
+// simulation output — is that of the two-event link model. See DESIGN.md
+// §12.
 func (i *Iface) Send(pkt *inet.Packet) {
 	if pkt == nil {
 		panic("netsim: Send(nil)")
@@ -214,102 +183,11 @@ func (i *Iface) Send(pkt *inet.Packet) {
 		}
 		return
 	}
-	if i.mode == modeUnset {
-		// Commit the transmit path on first use. Links with an Impair
-		// hook by then keep the classic two-event path; a hook attached
-		// after the commit is still consulted at Send time above, in the
-		// identical position on both paths.
-		if i.fusedCfg && i.Impair == nil {
-			i.mode = modeFused
-		} else {
-			i.mode = modeClassic
-		}
-	}
-	if i.mode == modeFused {
-		i.sendFused(pkt)
-		return
-	}
-	if i.busy {
-		limit := i.link.cfg.QueueLimit
-		if limit == 0 {
-			limit = DefaultQueueLimit
-		}
-		byteLimit := i.link.cfg.QueueLimitBytes
-		if len(i.queue) >= limit || (byteLimit > 0 && i.queuedBytes+pkt.Size > byteLimit) {
-			i.dropped++
-			if i.DropHook != nil {
-				i.DropHook(pkt)
-			}
-			return
-		}
-		i.queue = append(i.queue, pkt)
-		i.queuedBytes += pkt.Size
-		return
-	}
-	i.transmit(pkt)
-}
-
-// transmit serializes pkt onto the wire and schedules its delivery.
-func (i *Iface) transmit(pkt *inet.Packet) {
-	i.busy = true
-	i.txPkt = pkt
-	var txTime sim.Time
-	if bps := i.link.cfg.BandwidthBPS; bps > 0 {
-		txTime = sim.Time(int64(pkt.Size) * 8 * int64(sim.Second) / bps)
-	}
-	// Transmission completes after the serialization time; the packet
-	// arrives one propagation delay later (txDone → deliver).
-	i.engine.Schedule(txTime, i.txDoneFn)
-}
-
-// txDone fires when the current packet finishes serializing: it enters the
-// propagation FIFO and the next queued packet starts transmitting.
-func (i *Iface) txDone() {
-	i.sent++
-	if i.xport != nil {
-		i.xport.park(i.engine.Now()+i.link.cfg.Delay, i.txPkt)
-	} else {
-		i.inflight = append(i.inflight, i.txPkt)
-		i.engine.Schedule(i.link.cfg.Delay, i.deliverFn)
-	}
-	if len(i.queue) > 0 {
-		next := i.queue[0]
-		copy(i.queue, i.queue[1:])
-		i.queue = i.queue[:len(i.queue)-1]
-		i.queuedBytes -= next.Size
-		i.busy = false
-		i.transmit(next)
-	} else {
-		i.busy = false
-	}
-}
-
-// deliver fires one propagation delay after txDone and hands the oldest
-// in-flight packet to the peer. The constant per-direction delay
-// guarantees deliveries complete in the same order transmissions finished,
-// so the FIFO head is always the arriving packet.
-func (i *Iface) deliver() {
-	pkt := i.inflight[0]
-	copy(i.inflight, i.inflight[1:])
-	i.inflight[len(i.inflight)-1] = nil
-	i.inflight = i.inflight[:len(i.inflight)-1]
-	i.peer.delivers++
-	i.peer.node.HandlePacket(i.peer, pkt)
-}
-
-// sendFused is the analytic transmit path: no txDone event is scheduled.
-// The departure instant follows from the per-direction busyUntil clock,
-// the droptail/byte-limit decision from the lazily drained departure
-// ring, and the single delivery event is pinned (sim.AtPinned) exactly
-// where the classic txDone-then-deliver chain would have inserted it, so
-// equal-instant ordering — and therefore every simulation output — is
-// identical to the classic path. See DESIGN.md §12.
-func (i *Iface) sendFused(pkt *inet.Packet) {
 	i.drainRing()
 	m := len(i.ring) - i.ringHead
 	if m > 0 {
 		// Transmitter busy: the ring head is the packet serializing, the
-		// rest the queue — apply droptail exactly as the classic path.
+		// rest the queue.
 		limit := i.link.cfg.QueueLimit
 		if limit == 0 {
 			limit = DefaultQueueLimit
@@ -333,8 +211,8 @@ func (i *Iface) sendFused(pkt *inet.Packet) {
 	start := now
 	if m > 0 {
 		// Backlogged: serialization starts when the predecessor departs,
-		// and the phantom txDone inherits the chain's insertion lineage
-		// (classic inserts it while the predecessor's txDone is firing).
+		// and the phantom departure inherits the chain's insertion lineage
+		// (it is inserted while the predecessor's departure is firing).
 		prev := &i.ring[len(i.ring)-1]
 		start = i.busyUntil
 		ent.pvins2, ent.pvseq2, ent.pseq = prev.pvins, prev.pseq, prev.pseq
@@ -352,10 +230,8 @@ func (i *Iface) sendFused(pkt *inet.Packet) {
 	i.ringBytes += pkt.Size
 	if i.xport != nil {
 		// Cross-shard: park at the analytically known arrival right
-		// away. The entry reaches the mailbox one barrier earlier than
-		// the classic path would have parked it, but the arrival instant
-		// is identical and still at least one lookahead ahead of the
-		// sending shard's clock, so the epoch protocol stays sound.
+		// away. The arrival instant is at least one lookahead ahead of
+		// the sending shard's clock, so the epoch protocol stays sound.
 		i.xport.park(dep+i.link.cfg.Delay, pkt)
 		return
 	}
@@ -363,8 +239,21 @@ func (i *Iface) sendFused(pkt *inet.Packet) {
 	e.AtPinned(dep+i.link.cfg.Delay, dep, start, ent.pseq, i.deliverFn)
 }
 
-// drainRing retires every pending departure the classic path would have
-// completed by now, folding each into the sent counter and the occupancy
+// deliver fires one propagation delay after a departure and hands the
+// oldest in-flight packet to the peer. The constant per-direction delay
+// guarantees deliveries complete in the same order transmissions finished,
+// so the FIFO head is always the arriving packet.
+func (i *Iface) deliver() {
+	pkt := i.inflight[0]
+	copy(i.inflight, i.inflight[1:])
+	i.inflight[len(i.inflight)-1] = nil
+	i.inflight = i.inflight[:len(i.inflight)-1]
+	i.peer.delivers++
+	i.peer.node.HandlePacket(i.peer, pkt)
+}
+
+// drainRing retires every pending departure whose phantom event has fired
+// by now, folding each into the sent counter and the occupancy
 // accounting — late, but with identical visible values at every read
 // point. Departure instants themselves never depend on the drain (only
 // busyUntil does, and drains don't touch it).
@@ -396,10 +285,10 @@ func (i *Iface) drainRing() {
 	i.ringHead = h
 }
 
-// phantomFired reports whether the classic txDone for ent — an event at
+// phantomFired reports whether the phantom departure for ent — an event at
 // the current instant with key (now, pvins, pvins2, pvseq2, pseq) — would
 // have fired before the event whose handler is currently running. With no
-// handler running (a read between engine runs) the txDone has fired: Run
+// handler running (a read between engine runs) the departure has fired: Run
 // fires events at the horizon instant before returning.
 func (i *Iface) phantomFired(ent *txEntry) bool {
 	fv, fv2, fs2, fseq, firing := i.engine.FiringKey()
@@ -425,16 +314,19 @@ func Connect(engine *sim.Engine, a, b Node, cfg LinkConfig) *Link {
 	if engine == nil {
 		panic("netsim: Connect with nil engine")
 	}
-	fc := FusedLinks()
+	return newLink(engine, engine, a, b, cfg)
+}
+
+// newLink wires a duplex link whose a side runs on ea and b side on eb,
+// and attaches each interface to its node.
+func newLink(ea, eb *sim.Engine, a, b Node, cfg LinkConfig) *Link {
 	l := &Link{cfg: cfg}
-	l.a = &Iface{engine: engine, node: a, link: l, fusedCfg: fc}
-	l.b = &Iface{engine: engine, node: b, link: l, fusedCfg: fc}
+	l.a = &Iface{engine: ea, node: a, link: l}
+	l.b = &Iface{engine: eb, node: b, link: l}
 	l.a.peer = l.b
 	l.b.peer = l.a
-	// Bind the transmit handlers once so the per-packet hot path schedules
-	// pre-existing closures instead of allocating new ones.
-	l.a.txDoneFn, l.a.deliverFn = l.a.txDone, l.a.deliver
-	l.b.txDoneFn, l.b.deliverFn = l.b.txDone, l.b.deliver
+	l.a.deliverFn = l.a.deliver
+	l.b.deliverFn = l.b.deliver
 	if at, ok := a.(IfaceAttacher); ok {
 		at.AttachIface(l.a)
 	}

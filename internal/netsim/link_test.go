@@ -267,43 +267,37 @@ func TestByteLimitedQueue(t *testing.T) {
 	}
 }
 
-// Property: byte accounting stays consistent with the classic queue's
-// contents under any traffic pattern, and the fused path reconstructs the
-// identical value from its departure ring.
+// Property: byte accounting stays consistent with the reference queue's
+// contents under any traffic pattern, and the analytic path reconstructs
+// the identical value from its departure ring.
 func TestPropertyByteAccounting(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		e := sim.NewEngine()
 		cfg := LinkConfig{BandwidthBPS: 100_000, QueueLimitBytes: 500}
-		prev := SetFusedLinks(false)
-		a := NewHost("a", inet.Addr{Net: 1, Host: 1})
-		b := NewHost("b", inet.Addr{Net: 2, Host: 1})
-		lc := Connect(e, a, b, cfg)
-		SetFusedLinks(true)
+		ref := newClassicRef(e, cfg, func(pkt *inet.Packet) {})
 		c := NewHost("c", inet.Addr{Net: 3, Host: 1})
 		d := NewHost("d", inet.Addr{Net: 4, Host: 1})
 		lf := Connect(e, c, d, cfg)
-		SetFusedLinks(prev)
-		b.Receive = func(pkt *inet.Packet) {}
 		d.Receive = func(pkt *inet.Packet) {}
 		for _, s := range sizes {
-			a.Send(newPkt(a.Addr(), b.Addr(), int(s)+1))
+			ref.Send(newPkt(c.Addr(), d.Addr(), int(s)+1))
 			c.Send(newPkt(c.Addr(), d.Addr(), int(s)+1))
 			sum := 0
-			for _, p := range lc.a.queue {
+			for _, p := range ref.queue {
 				sum += p.Size
 			}
-			if sum != lc.A().QueueBytes() || sum > 500 {
+			if sum != ref.QueueBytes() || sum > 500 {
 				return false
 			}
-			if lf.A().QueueBytes() != sum || lf.A().QueueLen() != lc.A().QueueLen() {
+			if lf.A().QueueBytes() != sum || lf.A().QueueLen() != ref.QueueLen() {
 				return false
 			}
 		}
 		if err := e.RunAll(); err != nil {
 			return false
 		}
-		return lc.A().QueueBytes() == 0 && lf.A().QueueBytes() == 0 &&
-			lf.A().Sent() == lc.A().Sent() && lf.A().Dropped() == lc.A().Dropped()
+		return ref.QueueBytes() == 0 && lf.A().QueueBytes() == 0 &&
+			lf.A().Sent() == ref.Sent() && lf.A().Dropped() == ref.Dropped()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@ import (
 // ShardExchange owns the cross-shard mailboxes of a partitioned topology.
 // A link created through ShardExchange.Connect joins nodes whose engines
 // belong to different shards of a sim.ShardGroup: during an epoch each
-// direction buffers finished transmissions in an outbox private to the
-// sending shard, and Flush — installed as the group's exchange callback —
+// direction buffers its transmissions in an outbox private to the sending
+// shard, and Flush — installed as the group's exchange callback —
 // migrates them into the receiving engines at the barrier.
 //
 // Flush runs single-threaded over ports in creation order, so the sequence
@@ -82,15 +82,7 @@ func (x *ShardExchange) Connect(ea, eb *sim.Engine, a, b Node, cfg LinkConfig) *
 	if cfg.Delay < 1 {
 		panic(fmt.Sprintf("netsim: cross-shard link %s--%s needs a positive delay", a.Name(), b.Name()))
 	}
-	fc := FusedLinks()
-	l := &Link{cfg: cfg}
-	l.a = &Iface{engine: ea, node: a, link: l, fusedCfg: fc}
-	l.b = &Iface{engine: eb, node: b, link: l, fusedCfg: fc}
-	l.a.peer = l.b
-	l.b.peer = l.a
-	l.a.txDoneFn = l.a.txDone
-	l.b.txDoneFn = l.b.txDone
-
+	l := newLink(ea, eb, a, b, cfg)
 	// One mailbox per direction, delivering into the far side's engine.
 	pa := &xPort{owner: x, recv: eb, dst: l.b}
 	pb := &xPort{owner: x, recv: ea, dst: l.a}
@@ -101,13 +93,6 @@ func (x *ShardExchange) Connect(ea, eb *sim.Engine, a, b Node, cfg LinkConfig) *
 	x.ports = append(x.ports, pa, pb)
 	if x.minDelay == 0 || cfg.Delay < x.minDelay {
 		x.minDelay = cfg.Delay
-	}
-
-	if at, ok := a.(IfaceAttacher); ok {
-		at.AttachIface(l.a)
-	}
-	if bt, ok := b.(IfaceAttacher); ok {
-		bt.AttachIface(l.b)
 	}
 	return l
 }
@@ -163,7 +148,7 @@ type xPort struct {
 	dirty bool
 }
 
-// park buffers one finished transmission for the next barrier flush and
+// park buffers one transmission for the next barrier flush and
 // maintains the exchange's dirty accounting. It runs on the sending
 // shard's goroutine mid-epoch; the 0→1 transition is the only point that
 // touches shared state, through owner.dirtyPorts.

@@ -59,13 +59,6 @@ var DefaultCityShards = 8
 // count for runner specs (whose replicas already run concurrently).
 var DefaultCityWorkers = 0
 
-// DefaultCityFixedEpochs, when true, runs the city shard group in the
-// classic fixed-width epoch mode instead of adaptive epochs
-// (`experiments -fixed-epochs`). The simulation results are byte-identical
-// either way — the mode exists as the measurement baseline for barrier
-// statistics.
-var DefaultCityFixedEpochs = false
-
 // cityWorkers resolves the worker count for a sharded city run — the one
 // defaulting path shared by applyDefaults and CitySpec. An explicit request
 // wins, then the process-wide default (the -workers flag), then fallback;
@@ -152,9 +145,6 @@ func (p *CityParams) applyDefaults() {
 		p.Shards = DefaultCityShards
 	}
 	p.Workers = cityWorkers(p.Workers, p.Shards, runtime.GOMAXPROCS(0))
-	if DefaultCityFixedEpochs {
-		p.FixedEpochs = true
-	}
 	if p.Scheme == 0 {
 		p.Scheme = core.SchemeEnhanced
 	}
@@ -620,10 +610,10 @@ type CityResult struct {
 	// Links aggregates wired-link utilization per role (both directions of
 	// every domain's link with that role summed): packets accepted into the
 	// transmit queue, packets handed to the far node, and tail drops.
-	// Deterministic for a fixed shard count — and, with the analytic link
-	// fast path, reconstructed lazily from the departure ring rather than
-	// counted by txDone events, so it renders into the golden output as the
-	// observable check on the fused counter reconstruction.
+	// Deterministic for a fixed shard count — and reconstructed lazily from
+	// the analytic links' departure rings rather than counted by events, so
+	// it renders into the golden output as the observable check on that
+	// counter reconstruction.
 	Links []CityLinkUse
 	// Air aggregates the radio data plane across all domains: downlink
 	// frames the APs serialized onto the air and dropped undeliverable,
@@ -906,7 +896,3 @@ func SetDefaultCityWorkers(n int) {
 		DefaultCityWorkers = n
 	}
 }
-
-// SetDefaultCityFixedEpochs selects the fixed-width epoch baseline (the
-// experiments command's -fixed-epochs flag).
-func SetDefaultCityFixedEpochs(on bool) { DefaultCityFixedEpochs = on }

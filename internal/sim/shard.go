@@ -215,20 +215,29 @@ func (g *ShardGroup) Run(until Time) error {
 	}
 
 	// Horizon reached (or queues drained): advance every clock to the
-	// horizon so Now() reflects progress, mirroring Engine.Run.
-	if until != MaxTime {
+	// horizon so Now() reflects progress, mirroring Engine.Run. With no
+	// horizon the run ended at the latest shard clock; every shard's
+	// queue is empty, so its clock moves there without firing anything.
+	// A shard whose last transmission's departure lies past its own last
+	// event (the delivery fired on another shard) then reads it as sent.
+	if until == MaxTime {
+		until = 0
 		for _, e := range g.engines {
-			if e.Now() < until {
-				if err := e.Run(until); err != nil {
-					return err
-				}
+			until = max(until, e.Now())
+		}
+	}
+	for _, e := range g.engines {
+		if e.Now() < until {
+			if err := e.Run(until); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// RunAll processes events until every shard's queue drains.
+// RunAll processes events until every shard's queue drains, and leaves
+// every shard's clock at the latest instant any shard reached.
 func (g *ShardGroup) RunAll() error { return g.Run(MaxTime) }
 
 // scanNext fills nextAts with each shard's earliest pending instant

@@ -155,6 +155,22 @@ func TestShardGroupStopPropagates(t *testing.T) {
 	}
 }
 
+func TestShardGroupRunAllAlignsClocks(t *testing.T) {
+	// With no horizon the run ends at the latest shard clock, and every
+	// shard reads that instant afterwards: a shard whose last event came
+	// early must not look stuck in the past.
+	a, b := NewEngine(), NewEngine()
+	a.At(3, func() {})
+	b.At(70, func() {})
+	g := NewShardGroup([]*Engine{a, b}, 5, 1)
+	if err := g.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if a.Now() != 70 || b.Now() != 70 || g.Now() != 70 {
+		t.Fatalf("clocks = %v/%v (group %v), want 70/70/70", a.Now(), b.Now(), g.Now())
+	}
+}
+
 func TestShardGroupHorizonAdvancesIdleClocks(t *testing.T) {
 	a, b := NewEngine(), NewEngine()
 	a.At(3, func() {})

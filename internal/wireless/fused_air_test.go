@@ -200,8 +200,6 @@ func TestFusedAirHalvesAirEvents(t *testing.T) {
 	run := func(fused, uplink bool) uint64 {
 		prev := SetFusedAir(fused)
 		defer SetFusedAir(prev)
-		prevLinks := netsim.SetFusedLinks(true)
-		defer netsim.SetFusedLinks(prevLinks)
 		e := sim.NewEngine()
 		topo := netsim.NewTopology(e)
 		medium := NewMedium(e)
@@ -234,7 +232,7 @@ func TestFusedAirHalvesAirEvents(t *testing.T) {
 	if got := run(true, false); got != 1+n {
 		t.Fatalf("fused downlink events = %d, want %d", got, 1+n)
 	}
-	// Uplink additionally crosses the (fused) wired hop: +n deliveries.
+	// Uplink additionally crosses the wired hop: +n deliveries.
 	if got := run(false, true); got != 1+3*n {
 		t.Fatalf("classic uplink events = %d, want %d", got, 1+3*n)
 	}

@@ -3,17 +3,11 @@ package wireless
 import (
 	"os"
 	"testing"
-
-	"repro/internal/netsim"
 )
 
 // TestMain runs the package's tests on the classic radio path when
-// WIRELESS_FUSED=0 (and on classic links when NETSIM_FUSED=0), so the
-// suite proves both transmit paths.
+// WIRELESS_FUSED=0, so the suite proves both transmit paths.
 func TestMain(m *testing.M) {
-	if os.Getenv("NETSIM_FUSED") == "0" {
-		netsim.SetFusedLinks(false)
-	}
 	if os.Getenv("WIRELESS_FUSED") == "0" {
 		SetFusedAir(false)
 	}
