@@ -286,3 +286,34 @@ func TestImpairDiscardReleasesToPool(t *testing.T) {
 		t.Fatalf("pool recovered %d of %d packets; the discard path leaks", got, n)
 	}
 }
+
+// TestFusedFallsBackUnderImpair pins that an Impair hook no longer changes
+// the transmit path's behaviour: a link whose hook is present but
+// transparent delivers the same packets at the same instants as the
+// two-event reference, and counts them as sent.
+func TestFusedFallsBackUnderImpair(t *testing.T) {
+	e := sim.NewEngine()
+	cfg := LinkConfig{BandwidthBPS: 1_000_000, Delay: sim.Millisecond}
+	a := NewHost("a", inet.Addr{Net: 1, Host: 1})
+	b := NewHost("b", inet.Addr{Net: 2, Host: 1})
+	l := Connect(e, a, b, cfg)
+	l.A().Impair = func(pkt *inet.Packet) bool { return false } // present but transparent
+	var ref, got []arrival
+	b.Receive = func(pkt *inet.Packet) { got = append(got, arrival{e.Now(), pkt.ID}) }
+	rl := newClassicRef(e, cfg, func(pkt *inet.Packet) { ref = append(ref, arrival{e.Now(), pkt.ID}) })
+	for i := 0; i < 3; i++ {
+		pr := newPkt(a.Addr(), b.Addr(), 500)
+		pr.ID = uint64(i + 1)
+		pf := newPkt(a.Addr(), b.Addr(), 500)
+		pf.ID = uint64(i + 1)
+		rl.Send(pr)
+		a.Send(pf)
+	}
+	if err := e.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	sameSeq(t, "impaired deliveries", ref, got)
+	if len(got) != 3 || l.A().Sent() != 3 {
+		t.Fatalf("delivered %d sent %d, want 3/3", len(got), l.A().Sent())
+	}
+}
