@@ -57,6 +57,10 @@ type ARConfig struct {
 	// immediately instead of holding it. Zero selects
 	// DefaultBicastWindow. Ignored by the buffering schemes.
 	BicastWindow int
+	// Alloc, when set, supplies pooled packets for the tunnel wrappers the
+	// router emits (redirect, drain and reverse tunnels), so tunnelling
+	// stays allocation-free. Nil falls back to heap allocation.
+	Alloc func() *inet.Packet
 }
 
 // Validate reports configuration errors that would silently disable parts
@@ -414,7 +418,7 @@ func (ar *AccessRouter) intercept(in *netsim.Iface, pkt *inet.Packet) bool {
 	// PCoA while attached at the NAR is tunnelled back to the PAR.
 	if s, ok := ar.sessions[pkt.Src]; ok && s.role == roleNAR && !s.peer.IsUnspecified() {
 		if _, fromAP := ar.apByIface[in]; fromAP {
-			ar.router.Forward(pkt.Encapsulate(ar.router.Addr(), s.peer))
+			ar.router.Forward(pkt.Encapsulate(ar.cfg.Alloc, ar.router.Addr(), s.peer))
 			return true
 		}
 	}
@@ -451,7 +455,9 @@ func (ar *AccessRouter) localDeliver(in *netsim.Iface, pkt *inet.Packet) bool {
 }
 
 // handleTunnel terminates a tunnel at this router: redirected session data
-// goes through the NAR buffering logic, anything else is forwarded.
+// goes through the NAR buffering logic, anything else is forwarded. The
+// stripped wrapper goes to the router's tunnel-exit hook, as it would had
+// the router decapsulated it itself.
 func (ar *AccessRouter) handleTunnel(pkt *inet.Packet) bool {
 	inner := pkt.Decapsulate()
 	if inner == nil {
@@ -459,9 +465,12 @@ func (ar *AccessRouter) handleTunnel(pkt *inet.Packet) bool {
 	}
 	if s, ok := ar.sessions[inner.Dst]; ok && s.role == roleNAR {
 		ar.narData(s, inner)
-		return true
+	} else {
+		ar.router.Forward(inner)
 	}
-	ar.router.Forward(inner)
+	if release := ar.router.ReleaseTunnel; release != nil {
+		release(pkt, inner)
+	}
 	return true
 }
 
@@ -1112,7 +1121,7 @@ func (ar *AccessRouter) drainSend(pkt *inet.Packet, peer inet.Addr) {
 		ar.router.Forward(pkt)
 		return
 	}
-	ar.router.Forward(pkt.Encapsulate(ar.router.Addr(), peer))
+	ar.router.Forward(pkt.Encapsulate(ar.cfg.Alloc, ar.router.Addr(), peer))
 }
 
 // drainJob is a paced buffer release in flight: a snapshot of the drained
@@ -1280,7 +1289,7 @@ func (ar *AccessRouter) tunnelToPeer(s *session, pkt *inet.Packet) {
 		ar.router.Forward(pkt)
 		return
 	}
-	ar.router.Forward(pkt.Encapsulate(ar.router.Addr(), s.peer))
+	ar.router.Forward(pkt.Encapsulate(ar.cfg.Alloc, ar.router.Addr(), s.peer))
 }
 
 // sendControl originates a control packet from this router.

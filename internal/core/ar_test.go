@@ -10,16 +10,32 @@ import (
 	"repro/internal/sim"
 )
 
-// arHarness wires par -- nar over one link, with a stub "ap" host hanging
-// off each router so host routes have somewhere to point. The mobile host
-// is simulated by injecting control packets directly.
+// arHarness wires par -- nar over one link, with a stub access point
+// hanging off each router so host routes have somewhere to point. The
+// mobile host is simulated by injecting control packets directly.
 type arHarness struct {
 	engine   *sim.Engine
 	topo     *netsim.Topology
 	par, nar *AccessRouter
-	parAP    *netsim.Host
-	narAP    *netsim.Host
+	parAP    *apStub
+	narAP    *apStub
 	pcoa     inet.Addr
+}
+
+// apStub stands in for an access point: like the real one it takes every
+// frame its router hands it, whatever the destination, and passes it to
+// Receive (nil discards).
+type apStub struct {
+	name    string
+	Receive func(pkt *inet.Packet)
+}
+
+func (a *apStub) Name() string { return a.name }
+
+func (a *apStub) HandlePacket(_ *netsim.Iface, pkt *inet.Packet) {
+	if a.Receive != nil {
+		a.Receive(pkt)
+	}
 }
 
 func newARHarness(t testing.TB, cfg ARConfig) *arHarness {
@@ -28,8 +44,8 @@ func newARHarness(t testing.TB, cfg ARConfig) *arHarness {
 	topo := netsim.NewTopology(engine)
 	parRouter := netsim.NewRouter("par", inet.Addr{Net: 2, Host: 1})
 	narRouter := netsim.NewRouter("nar", inet.Addr{Net: 3, Host: 1})
-	parAP := netsim.NewHost("par-ap", inet.Addr{Net: 90, Host: 1})
-	narAP := netsim.NewHost("nar-ap", inet.Addr{Net: 91, Host: 1})
+	parAP := &apStub{name: "par-ap"}
+	narAP := &apStub{name: "nar-ap"}
 
 	topo.Connect(parRouter, narRouter, netsim.LinkConfig{Delay: 2 * sim.Millisecond})
 	parAPLink := topo.Connect(parRouter, parAP, netsim.LinkConfig{Delay: sim.Millisecond})
@@ -426,5 +442,56 @@ func TestSchemeOpDualTreatsAllAsHP(t *testing.T) {
 		if got := SchemeDual.Op(avail, c); got != buffer.OpBufferBoth {
 			t.Errorf("dual Op(%v) = %v, want buffer-at-both", c, got)
 		}
+	}
+}
+
+// TestARTunnelZeroAlloc pins the access routers' tunnel path: in steady
+// state, a packet the PAR redirects (tunnelToPeer, pooled wrapper) and the
+// NAR decapsulates (handleTunnel, wrapper released through its router's
+// ReleaseTunnel) and delivers to the host's access point, where it is
+// released, allocates nothing.
+func TestARTunnelZeroAlloc(t *testing.T) {
+	h := newARHarness(t, ARConfig{Scheme: SchemeFHNoBuffer})
+	h.par.cfg.Alloc = h.topo.AllocPacket
+	h.nar.cfg.Alloc = h.topo.AllocPacket
+	h.solicit(0)
+	h.run(t, 100*sim.Millisecond)
+	h.fbu()
+	h.run(t, 10*sim.Millisecond)
+
+	released := 0
+	h.nar.Router().ReleaseTunnel = func(outer, inner *inet.Packet) {
+		released++
+		h.topo.ReleasePacket(outer)
+	}
+	delivered := 0
+	h.narAP.Receive = func(pkt *inet.Packet) {
+		if pkt.Proto != inet.ProtoUDP || pkt.Dst != h.pcoa {
+			t.Fatalf("NAR's access point received %v, want the bare data packet", pkt)
+		}
+		delivered++
+		h.topo.ReleasePacket(pkt)
+	}
+	seq := uint32(0)
+	send := func() {
+		pkt := h.topo.AllocPacket()
+		pkt.Src, pkt.Dst = inet.Addr{Net: 1, Host: 1}, h.pcoa
+		pkt.Proto, pkt.Class, pkt.Flow, pkt.Size = inet.ProtoUDP, inet.ClassRealTime, 1, 160
+		seq++
+		pkt.Seq = seq
+		h.par.Router().HandlePacket(nil, pkt)
+		h.run(t, 5*sim.Millisecond)
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
+		t.Fatalf("PAR→NAR tunnel path allocates %.2f times per packet; want 0", avg)
+	}
+	if delivered != 64+201 || released != delivered {
+		t.Fatalf("delivered %d, wrappers released %d; want %d each", delivered, released, 64+201)
+	}
+	if st := h.topo.PoolStats(); st.Fresh > 4 {
+		t.Fatalf("pool allocated %d fresh packets for one packet in flight; want <= 4", st.Fresh)
 	}
 }

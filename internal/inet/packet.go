@@ -80,33 +80,55 @@ type Packet struct {
 	// pooled marks a packet currently resting in a PacketPool; it guards
 	// against double-release and use-after-free of recycled packets.
 	pooled bool
+	// origin is the pool that allocated the packet (nil for a heap
+	// packet). A pooled packet goes back to its origin and nowhere else.
+	origin *PacketPool
 }
 
+// Origin returns the pool that allocated the packet, or nil if it was
+// allocated on the heap.
+func (p *Packet) Origin() *PacketPool { return p.origin }
+
 // Clone returns a copy of the packet (and, recursively, of any encapsulated
-// packet). The payload pointer is shared.
-func (p *Packet) Clone() *Packet {
-	cp := *p
+// packet). Each copy comes from alloc, or from the heap when alloc is nil.
+// The payload pointer is shared.
+func (p *Packet) Clone(alloc func() *Packet) *Packet {
+	cp := newPacket(alloc)
+	pooled, origin := cp.pooled, cp.origin
+	*cp = *p
+	cp.pooled, cp.origin = pooled, origin
 	if p.Inner != nil {
-		cp.Inner = p.Inner.Clone()
+		cp.Inner = p.Inner.Clone(alloc)
 	}
-	return &cp
+	return cp
 }
 
 // Encapsulate wraps p in a tunnel header from src to dst, preserving the
-// class field and creation time, and accounting the header overhead.
-func (p *Packet) Encapsulate(src, dst Addr) *Packet {
-	return &Packet{
-		ID:      p.ID,
-		Src:     src,
-		Dst:     dst,
-		Proto:   ProtoTunnel,
-		Class:   p.Class,
-		Flow:    p.Flow,
-		Seq:     p.Seq,
-		Size:    p.Size + TunnelHeaderSize,
-		Created: p.Created,
-		Inner:   p,
+// class field and creation time, and accounting the header overhead. The
+// wrapper comes from alloc (a tunnel entry's packet pool), or from the
+// heap when alloc is nil; either way it is the only new packet, and p
+// becomes its Inner.
+func (p *Packet) Encapsulate(alloc func() *Packet, src, dst Addr) *Packet {
+	w := newPacket(alloc)
+	w.ID = p.ID
+	w.Src, w.Dst = src, dst
+	w.Proto = ProtoTunnel
+	w.Class = p.Class
+	w.Flow = p.Flow
+	w.Seq = p.Seq
+	w.Size = p.Size + TunnelHeaderSize
+	w.Created = p.Created
+	w.Inner = p
+	return w
+}
+
+// newPacket returns a zeroed packet from alloc, or from the heap when alloc
+// is nil.
+func newPacket(alloc func() *Packet) *Packet {
+	if alloc != nil {
+		return alloc()
 	}
+	return new(Packet)
 }
 
 // Decapsulate strips one tunnel header and returns the inner packet. It

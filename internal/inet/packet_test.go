@@ -22,7 +22,7 @@ func samplePacket() *Packet {
 
 func TestEncapsulatePreservesMetadata(t *testing.T) {
 	p := samplePacket()
-	tun := p.Encapsulate(Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
+	tun := p.Encapsulate(nil, Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
 
 	if tun.Proto != ProtoTunnel {
 		t.Fatalf("Proto = %v, want tunnel", tun.Proto)
@@ -46,7 +46,7 @@ func TestEncapsulatePreservesMetadata(t *testing.T) {
 
 func TestDecapsulate(t *testing.T) {
 	p := samplePacket()
-	tun := p.Encapsulate(Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
+	tun := p.Encapsulate(nil, Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
 	if got := tun.Decapsulate(); got != p {
 		t.Fatalf("Decapsulate = %v, want original", got)
 	}
@@ -57,8 +57,8 @@ func TestDecapsulate(t *testing.T) {
 
 func TestInnermostThroughNestedTunnels(t *testing.T) {
 	p := samplePacket()
-	t1 := p.Encapsulate(Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
-	t2 := t1.Encapsulate(Addr{Net: 8, Host: 1}, Addr{Net: 8, Host: 2})
+	t1 := p.Encapsulate(nil, Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
+	t2 := t1.Encapsulate(nil, Addr{Net: 8, Host: 1}, Addr{Net: 8, Host: 2})
 
 	if got := t2.Innermost(); got != p {
 		t.Fatal("Innermost did not reach the original packet")
@@ -73,8 +73,8 @@ func TestInnermostThroughNestedTunnels(t *testing.T) {
 
 func TestCloneIsDeepForEncapsulation(t *testing.T) {
 	p := samplePacket()
-	tun := p.Encapsulate(Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
-	cp := tun.Clone()
+	tun := p.Encapsulate(nil, Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
+	cp := tun.Clone(nil)
 
 	if cp == tun || cp.Inner == tun.Inner {
 		t.Fatal("Clone shares packet structs")
@@ -101,7 +101,7 @@ func TestPacketString(t *testing.T) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
 	}
-	tun := p.Encapsulate(Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
+	tun := p.Encapsulate(nil, Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
 	if ts := tun.String(); !strings.Contains(ts, "tunnel[9:1->9:2]") {
 		t.Errorf("tunnel String() = %q", ts)
 	}
@@ -133,7 +133,7 @@ func TestPropertyTunnelRoundTrip(t *testing.T) {
 		p.Size = int(size)
 		src := Addr{Net: NetID(srcNet), Host: HostID(srcHost)}
 		dst := Addr{Net: NetID(dstNet), Host: HostID(dstHost)}
-		tun := p.Encapsulate(src, dst)
+		tun := p.Encapsulate(nil, src, dst)
 		return tun.Decapsulate() == p &&
 			tun.Size == p.Size+TunnelHeaderSize &&
 			tun.Src == src && tun.Dst == dst
@@ -141,4 +141,42 @@ func TestPropertyTunnelRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestEncapsulateFromPool: a wrapper drawn from a pool carries the same
+// header as a heap wrapper and records the pool as its origin, and so does
+// each layer of a pooled clone; the pool takes back only its own packets.
+func TestEncapsulateFromPool(t *testing.T) {
+	var pool, other PacketPool
+	p := samplePacket()
+	heap := p.Encapsulate(nil, Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
+	pooled := p.Encapsulate(pool.Get, Addr{Net: 9, Host: 1}, Addr{Net: 9, Host: 2})
+	if heap.Origin() != nil || pooled.Origin() != &pool {
+		t.Fatalf("origins heap=%p pooled=%p, want nil and the pool", heap.Origin(), pooled.Origin())
+	}
+	cmp := *pooled
+	cmp.origin = nil
+	if cmp != *heap {
+		t.Fatalf("pooled wrapper %+v differs from heap wrapper %+v", *pooled, *heap)
+	}
+
+	cp := pooled.Clone(other.Get)
+	if cp.Origin() != &other || cp.Inner.Origin() != &other || cp.Inner == p {
+		t.Fatal("pooled Clone did not draw every layer from the pool")
+	}
+	if cp.Seq != p.Seq || cp.Inner.Seq != p.Seq || cp.Size != p.Size+TunnelHeaderSize {
+		t.Fatalf("pooled Clone lost header fields: %v", cp)
+	}
+
+	pool.Put(heap) // a heap packet is not adopted
+	pool.Put(pooled)
+	if pool.Len() != 1 {
+		t.Fatalf("pool holds %d packets, want only its own wrapper", pool.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put of another pool's packet did not panic")
+		}
+	}()
+	pool.Put(cp)
 }

@@ -14,9 +14,10 @@ type AgentConfig struct {
 	// MaxLifetime caps granted binding lifetimes. Zero means "grant the
 	// requested lifetime unchanged".
 	MaxLifetime sim.Time
-	// Alloc, when set, supplies pooled packets for the bicast duplicate
-	// path so SafetyNet fan-out stays allocation-free. Nil falls back to
-	// heap allocation.
+	// Alloc, when set, supplies pooled packets for every tunnel wrapper
+	// the agent emits and for the SafetyNet bicast duplicate, so the
+	// intercept path stays allocation-free. Nil falls back to heap
+	// allocation.
 	Alloc func() *inet.Packet
 }
 
@@ -116,7 +117,7 @@ func (a *Agent) intercept(in *netsim.Iface, pkt *inet.Packet) bool {
 	if len(a.bicast) > 0 {
 		a.maybeBicast(pkt, b.CoA)
 	}
-	a.router.Forward(pkt.Encapsulate(a.router.Addr(), b.CoA))
+	a.router.Forward(pkt.Encapsulate(a.cfg.Alloc, a.router.Addr(), b.CoA))
 	return true
 }
 
@@ -135,27 +136,7 @@ func (a *Agent) maybeBicast(pkt *inet.Packet, primary inet.Addr) {
 	if e.ncoa == primary {
 		return // binding already moved; a duplicate would be a self-copy
 	}
-	var dup, wrap *inet.Packet
-	if a.cfg.Alloc != nil && pkt.Inner == nil {
-		dup = a.cfg.Alloc()
-		*dup = *pkt
-		wrap = a.cfg.Alloc()
-		// Mirror Encapsulate field-for-field on the pooled wrapper.
-		*wrap = inet.Packet{
-			ID:      dup.ID,
-			Src:     a.router.Addr(),
-			Dst:     e.ncoa,
-			Proto:   inet.ProtoTunnel,
-			Class:   dup.Class,
-			Flow:    dup.Flow,
-			Seq:     dup.Seq,
-			Size:    dup.Size + inet.TunnelHeaderSize,
-			Created: dup.Created,
-			Inner:   dup,
-		}
-	} else {
-		wrap = pkt.Clone().Encapsulate(a.router.Addr(), e.ncoa)
-	}
+	wrap := pkt.Clone(a.cfg.Alloc).Encapsulate(a.cfg.Alloc, a.router.Addr(), e.ncoa)
 	a.bicastPackets++
 	a.bicastBytes += uint64(wrap.Size)
 	if a.OnBicast != nil {

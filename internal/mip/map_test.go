@@ -250,3 +250,55 @@ func TestAgentRebindMovesTraffic(t *testing.T) {
 		t.Fatalf("got1=%d got2=%d, want 1/1", got1, got2)
 	}
 }
+
+// TestMAPInterceptZeroAlloc pins the anchor's primary tunnel path: in
+// steady state, intercepting one packet for a bound RCoA — pooled tunnel
+// wrapper, one wired hop to the care-of address, the host stripping and
+// releasing both layers — allocates nothing, and the pool stays at the
+// handful of packets live at once.
+func TestMAPInterceptZeroAlloc(t *testing.T) {
+	e := sim.NewEngine()
+	topo := netsim.NewTopology(e)
+	mapRouter := netsim.NewRouter("map", inet.Addr{Net: 50, Host: 1})
+	mh := netsim.NewHost("mh", inet.Addr{Net: 2, Host: 7})
+	topo.Connect(mapRouter, mh, netsim.LinkConfig{BandwidthBPS: 10e6, Delay: sim.Millisecond})
+	topo.ClaimNet(2, mh)
+	topo.ClaimNet(50, mapRouter)
+	if err := topo.ComputeRoutes(); err != nil {
+		t.Fatalf("ComputeRoutes: %v", err)
+	}
+	agent := NewAgent(e, mapRouter, AgentConfig{ManagedNet: 50, Alloc: topo.AllocPacket})
+	rcoa := inet.Addr{Net: 50, Host: 7}
+	agent.Register(rcoa, mh.Addr(), 1<<62)
+	delivered := 0
+	mh.Receive = func(pkt *inet.Packet) {
+		inner := pkt.Decapsulate()
+		if inner == nil || inner.Dst != rcoa {
+			t.Fatalf("host received %v, want a tunnel to %v", pkt, rcoa)
+		}
+		delivered++
+		topo.ReleasePacket(inner)
+		topo.ReleasePacket(pkt)
+	}
+	send := func() {
+		pkt := topo.AllocPacket()
+		pkt.Src, pkt.Dst = inet.Addr{Net: 1, Host: 1}, rcoa
+		pkt.Proto, pkt.Size = inet.ProtoUDP, 160
+		mapRouter.HandlePacket(nil, pkt)
+		if err := e.RunAll(); err != nil {
+			t.Fatalf("RunAll: %v", err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if avg := testing.AllocsPerRun(200, send); avg != 0 {
+		t.Fatalf("MAP intercept path allocates %.2f times per packet; want 0", avg)
+	}
+	if delivered != 64+201 || agent.Intercepted() != uint64(delivered) {
+		t.Fatalf("delivered %d, intercepted %d; want %d", delivered, agent.Intercepted(), 64+201)
+	}
+	if st := topo.PoolStats(); st.Fresh > 4 {
+		t.Fatalf("pool allocated %d fresh packets for one packet in flight; want <= 4", st.Fresh)
+	}
+}

@@ -65,7 +65,7 @@ func (ha *HomeAgent) intercept(in *netsim.Iface, pkt *inet.Packet) bool {
 		return false // at home: normal delivery on the home link
 	}
 	ha.tunnelled++
-	ha.router.Forward(pkt.Encapsulate(ha.router.Addr(), b.CoA))
+	ha.router.Forward(pkt.Encapsulate(nil, ha.router.Addr(), b.CoA))
 	return true
 }
 

@@ -137,7 +137,7 @@ func TestFaultInjectorControlOnlySeesTunnelledControl(t *testing.T) {
 	inner := &inet.Packet{
 		Src: r.a.Addr(), Dst: r.b.Addr(), Proto: inet.ProtoControl, Size: 64,
 	}
-	r.a.Send(inner.Encapsulate(r.a.Addr(), r.b.Addr()))
+	r.a.Send(inner.Encapsulate(nil, r.a.Addr(), r.b.Addr()))
 	if err := r.e.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}

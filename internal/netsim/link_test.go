@@ -148,7 +148,7 @@ func TestHostDeliversTunnelsUnchanged(t *testing.T) {
 	b.Receive = func(pkt *inet.Packet) { got = pkt }
 	inner := newPkt(a.Addr(), b.Addr(), 100)
 	inner.Seq = 77
-	a.Send(inner.Encapsulate(a.Addr(), b.Addr()))
+	a.Send(inner.Encapsulate(nil, a.Addr(), b.Addr()))
 	if err := e.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}

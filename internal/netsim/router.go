@@ -27,6 +27,18 @@ type Router struct {
 	// consumes them first by returning true.
 	LocalDeliver func(in *Iface, pkt *inet.Packet) bool
 
+	// ReleaseTunnel, if set, receives each tunnel packet terminating at the
+	// router — decapsulated by the router itself, or by a LocalDeliver
+	// handler that takes its tunnels over — after the wrapper has been
+	// stripped and the inner packet handled (outer != inner). The wrapper
+	// is dead at that point; a recycling sink can return it to a packet
+	// pool. inner must not be released here.
+	ReleaseTunnel func(outer, inner *inet.Packet)
+
+	// NoRouteHook, if set, observes every packet Forward drops for lack of
+	// a route. The packet is dead; the observer owns it (pool recycling).
+	NoRouteHook func(pkt *inet.Packet)
+
 	noRoute uint64
 }
 
@@ -88,6 +100,9 @@ func (r *Router) HandlePacket(in *Iface, pkt *inet.Packet) {
 		// packet as if it had just arrived.
 		if inner := pkt.Decapsulate(); inner != nil {
 			r.HandlePacket(in, inner)
+			if r.ReleaseTunnel != nil {
+				r.ReleaseTunnel(pkt, inner)
+			}
 		}
 		return
 	}
@@ -100,6 +115,9 @@ func (r *Router) Forward(pkt *inet.Packet) {
 	via := r.Route(pkt.Dst)
 	if via == nil {
 		r.noRoute++
+		if r.NoRouteHook != nil {
+			r.NoRouteHook(pkt)
+		}
 		return
 	}
 	via.Send(pkt)

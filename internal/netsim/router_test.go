@@ -144,7 +144,7 @@ func TestRouterTunnelEndpointDecapsulatesAndForwards(t *testing.T) {
 	inner := newPkt(cn.Addr(), dst.Addr(), 100)
 	inner.Seq = 5
 	// Tunnel from cn to r1; r1 must decapsulate and forward to dst.
-	cn.Send(inner.Encapsulate(cn.Addr(), r1.Addr()))
+	cn.Send(inner.Encapsulate(nil, cn.Addr(), r1.Addr()))
 	if err := e.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
@@ -205,5 +205,60 @@ func TestAddNodeIdempotent(t *testing.T) {
 	topo.AddNode(h)
 	if len(topo.Nodes()) != 1 {
 		t.Fatalf("Nodes() has %d entries, want 1", len(topo.Nodes()))
+	}
+}
+
+// TestRouterReleasesTerminatedTunnel: a router terminating a tunnel hands
+// the stripped wrapper to ReleaseTunnel once the inner packet is on its
+// way, and a topology recycling there gets the wrapper back in its pool
+// while the inner packet is delivered intact.
+func TestRouterReleasesTerminatedTunnel(t *testing.T) {
+	e, topo, cn, r1, _, dst := lineTopology(t)
+	var outer, inner *inet.Packet
+	r1.ReleaseTunnel = func(o, i *inet.Packet) {
+		outer, inner = o, i
+		topo.ReleasePacket(o)
+	}
+	var got *inet.Packet
+	dst.Receive = func(pkt *inet.Packet) { got = pkt }
+
+	pkt := topo.AllocPacket()
+	pkt.Src, pkt.Dst, pkt.Proto, pkt.Size, pkt.Seq = cn.Addr(), dst.Addr(), inet.ProtoUDP, 100, 5
+	wrap := pkt.Encapsulate(topo.AllocPacket, cn.Addr(), r1.Addr())
+	cn.Send(wrap)
+	if err := e.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if outer != wrap || inner != pkt {
+		t.Fatalf("ReleaseTunnel got (%p, %p), want the wrapper and its inner packet", outer, inner)
+	}
+	if got != pkt || got.Seq != 5 {
+		t.Fatalf("inner packet not delivered intact: %v", got)
+	}
+	if st := topo.PoolStats(); st.Resting != 1 {
+		t.Fatalf("Resting = %d after the tunnel exit, want 1 (the wrapper)", st.Resting)
+	}
+}
+
+// TestRouterNoRouteHookOwnsDrop: a packet dropped for lack of a route
+// reaches NoRouteHook, so a pooling topology can recycle it.
+func TestRouterNoRouteHookOwnsDrop(t *testing.T) {
+	e, topo, cn, r1, _, _ := lineTopology(t)
+	var dropped *inet.Packet
+	r1.NoRouteHook = func(pkt *inet.Packet) {
+		dropped = pkt
+		topo.ReleasePacket(pkt)
+	}
+	pkt := topo.AllocPacket()
+	pkt.Src, pkt.Dst, pkt.Proto, pkt.Size = cn.Addr(), inet.Addr{Net: 77, Host: 1}, inet.ProtoUDP, 100
+	cn.Send(pkt)
+	if err := e.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if dropped != pkt || r1.NoRouteDrops() != 1 {
+		t.Fatalf("NoRouteHook saw %p (drops %d), want the unroutable packet once", dropped, r1.NoRouteDrops())
+	}
+	if st := topo.PoolStats(); st.Resting != 1 {
+		t.Fatalf("Resting = %d after the drop, want 1", st.Resting)
 	}
 }

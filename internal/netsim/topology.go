@@ -29,6 +29,13 @@ type Topology struct {
 	graveyard      []*inet.Packet
 	releasedAt     uint64
 	releasedFiring bool
+	// parked holds dead packets another topology's pool allocated (a
+	// wrapper that crossed a shard boundary), awaiting ReturnParked.
+	parked []*inet.Packet
+	// restingHigh is the largest pool-plus-graveyard size seen by an
+	// AllocPacket: resting packets only leave through AllocPacket, so
+	// sampling there (and in PoolStats) catches every peak.
+	restingHigh int
 }
 
 // NewTopology creates an empty topology bound to an engine.
@@ -46,6 +53,7 @@ func NewTopology(engine *sim.Engine) *Topology {
 // caller fills in every field it needs; recycled packets carry nothing
 // over from their previous life.
 func (t *Topology) AllocPacket() *inet.Packet {
+	t.restingHigh = max(t.restingHigh, t.resting())
 	if len(t.graveyard) > 0 && t.releaseSettled() {
 		for i, pkt := range t.graveyard {
 			t.pool.Put(pkt)
@@ -67,21 +75,47 @@ func (t *Topology) releaseSettled() bool {
 	return t.releasedFiring && !firing
 }
 
-// ReleasePacket recycles a dead packet into the topology's free list. Call
-// it only from a final sink (deliver or drop) that owns the packet
-// outright; the slot is reclaimed only by an AllocPacket made after the
-// releasing event has returned, so hooks running later in the same event
-// still see the packet intact. Inner packets are not released implicitly
-// — release each layer of a chain explicitly once it is dead. Releasing
-// the same packet twice in one cycle is a harmless no-op.
+// ReleasePacket recycles a dead packet into the pool that allocated it.
+// Call it only from a final sink (deliver or drop) or a tunnel exit that
+// owns the packet outright. A packet from this topology's pool is
+// reclaimed only by an AllocPacket made after the releasing event has
+// returned, so hooks running later in the same event still see it intact;
+// a packet from another topology's pool is parked until ReturnParked; a
+// heap packet is left to the garbage collector. Inner packets are not
+// released implicitly — release each layer of a chain explicitly once it
+// is dead. Releasing the same packet twice in one cycle is a harmless
+// no-op.
 func (t *Topology) ReleasePacket(pkt *inet.Packet) {
 	if pkt == nil {
 		return
 	}
-	t.graveyard = append(t.graveyard, pkt)
-	t.releasedAt = t.engine.Processed()
-	_, _, _, _, t.releasedFiring = t.engine.FiringKey()
+	switch pkt.Origin() {
+	case nil: // a heap packet: the garbage collector's
+	case &t.pool:
+		t.graveyard = append(t.graveyard, pkt)
+		t.releasedAt = t.engine.Processed()
+		_, _, _, _, t.releasedFiring = t.engine.FiringKey()
+	default:
+		t.parked = append(t.parked, pkt)
+	}
 }
+
+// ReturnParked puts every packet parked by ReleasePacket back into the
+// pool that allocated it. It touches other topologies' pools, so call it
+// only while no engine of those topologies is running: between the runs of
+// a single engine, or from a shard group's exchange callback, where every
+// shard is parked at the barrier.
+func (t *Topology) ReturnParked() {
+	for i, pkt := range t.parked {
+		pkt.Origin().Put(pkt)
+		t.parked[i] = nil
+	}
+	t.parked = t.parked[:0]
+}
+
+// resting is the number of packets in the pool plus those released but not
+// yet reclaimed.
+func (t *Topology) resting() int { return t.pool.Len() + len(t.graveyard) }
 
 // PoolStats counts a topology's packet recycling.
 type PoolStats struct {
@@ -89,14 +123,23 @@ type PoolStats struct {
 	// from a recycled packet, and Puts the packets moved into the pool.
 	Gets, Fresh, Puts uint64
 	// Resting is the number of packets in the pool plus those released
-	// but not yet reclaimed.
-	Resting int
+	// but not yet reclaimed, and RestingHigh its high-water mark: the most
+	// packets the topology ever held idle.
+	Resting, RestingHigh int
+	// Parked counts dead packets from other topologies' pools awaiting
+	// ReturnParked.
+	Parked int
 }
 
 // PoolStats returns the topology's packet-recycling counters.
 func (t *Topology) PoolStats() PoolStats {
 	gets, fresh, puts := t.pool.Counts()
-	return PoolStats{Gets: gets, Fresh: fresh, Puts: puts, Resting: t.pool.Len() + len(t.graveyard)}
+	resting := t.resting()
+	return PoolStats{
+		Gets: gets, Fresh: fresh, Puts: puts,
+		Resting: resting, RestingHigh: max(t.restingHigh, resting),
+		Parked: len(t.parked),
+	}
 }
 
 // Engine returns the simulation engine.

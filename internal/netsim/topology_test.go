@@ -92,3 +92,63 @@ func TestReleasedPacketReusedAfterRun(t *testing.T) {
 		t.Fatal("AllocPacket after RunAll did not reuse the packet released in the last event")
 	}
 }
+
+// TestReleaseRoutesToOrigin: a packet goes back only to the pool that
+// allocated it. Released on another topology it is parked there until
+// ReturnParked, which puts it in its origin's pool; a heap packet is never
+// adopted by a pool.
+func TestReleaseRoutesToOrigin(t *testing.T) {
+	home := NewTopology(sim.NewEngine())
+	away := NewTopology(sim.NewEngine())
+
+	pkt := home.AllocPacket()
+	away.ReleasePacket(pkt)
+	away.ReleasePacket(&inet.Packet{Proto: inet.ProtoControl})
+	if st := away.PoolStats(); st.Resting != 0 || st.Parked != 1 {
+		t.Fatalf("away PoolStats = %+v, want the foreign packet parked and the heap packet ignored", st)
+	}
+	if st := home.PoolStats(); st.Resting != 0 {
+		t.Fatalf("home Resting = %d before the return, want 0", st.Resting)
+	}
+	away.ReturnParked()
+	if st := away.PoolStats(); st.Parked != 0 || st.Resting != 0 {
+		t.Fatalf("away PoolStats = %+v after ReturnParked, want nothing parked or resting", st)
+	}
+	if st := home.PoolStats(); st.Resting != 1 || st.Puts != 1 {
+		t.Fatalf("home PoolStats = %+v after ReturnParked, want the packet back in its pool", st)
+	}
+	if away.AllocPacket() == pkt {
+		t.Fatal("the other topology handed out the returned packet")
+	}
+	if home.AllocPacket() != pkt {
+		t.Fatal("the origin topology did not reuse its returned packet")
+	}
+}
+
+// TestRestingHighWaterMark: RestingHigh is the most packets ever resting at
+// once, kept after the pool hands them out again.
+func TestRestingHighWaterMark(t *testing.T) {
+	e := sim.NewEngine()
+	topo := NewTopology(e)
+	var live []*inet.Packet
+	for i := 0; i < 5; i++ {
+		live = append(live, topo.AllocPacket())
+	}
+	e.Schedule(0, func() {
+		for _, pkt := range live {
+			topo.ReleasePacket(pkt)
+		}
+	})
+	if err := e.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if st := topo.PoolStats(); st.Resting != 5 || st.RestingHigh != 5 {
+		t.Fatalf("PoolStats = %+v after releasing 5, want 5 resting, high 5", st)
+	}
+	for i := 0; i < 3; i++ {
+		topo.AllocPacket()
+	}
+	if st := topo.PoolStats(); st.Resting != 2 || st.RestingHigh != 5 || st.Fresh != 5 {
+		t.Fatalf("PoolStats = %+v after reusing 3, want 2 resting, high 5, 5 fresh", st)
+	}
+}

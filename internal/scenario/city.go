@@ -271,18 +271,6 @@ type city struct {
 	domains  []*cityDomain
 }
 
-// releaseChain recycles a dead UDP chain into the given topology's pool
-// (the pool of whichever shard the packet died on — pools trade packets
-// across shards only through the quiescent barrier, so this is race-free).
-func releaseChain(topo *netsim.Topology, pkt *inet.Packet) {
-	if pkt.Innermost().Proto != inet.ProtoUDP {
-		return
-	}
-	for p := pkt; p != nil; p = p.Inner {
-		topo.ReleasePacket(p)
-	}
-}
-
 // newCity builds the partitioned topology. Construction is single-threaded
 // and ordered (MAPs, then domains, then hosts), so every engine's event
 // sequence numbers — and hence the whole run — are a pure function of the
@@ -312,6 +300,7 @@ func newCity(p CityParams) *city {
 			Alloc:      topo.AllocPacket,
 		})
 		agent.OnBicast = func(pkt *inet.Packet) { recorder.BicastDuplicate(pkt) }
+		hookRelease(topo, router)
 		c.maps = append(c.maps, &cityMAP{
 			shard: mapShard[r], engine: engine, topo: topo, router: router,
 			agent: agent, recorder: recorder, net: net,
@@ -333,12 +322,29 @@ func newCity(p CityParams) *city {
 		lookahead = cityCrossDelay // single shard: no cross links exist
 	}
 	c.group = sim.NewShardGroup(engines, lookahead, p.Workers)
-	c.group.SetExchange(c.exchange.Flush)
+	c.group.SetExchange(c.exchangeAndReturn)
 	c.group.SetExchangePending(c.exchange.Pending)
 	if p.FixedEpochs {
 		c.group.SetAdaptive(false)
 	}
 	return c
+}
+
+// exchangeAndReturn is the shard group's barrier callback: it migrates the
+// cross-shard traffic of the last round, then returns every packet that
+// died away from its origin pool — a MAP's tunnel wrapper stripped in a
+// domain, a domain's packet dropped on a MAP's side of a link — to that
+// pool. Every shard is parked at the barrier, so touching both pools is
+// race-free, and the order is fixed, so the pools' contents are the same
+// at every worker count.
+func (c *city) exchangeAndReturn() {
+	c.exchange.Flush()
+	for _, m := range c.maps {
+		m.topo.ReturnParked()
+	}
+	for _, dom := range c.domains {
+		dom.topo.ReturnParked()
+	}
 }
 
 // buildDomain assembles AR domain d on its shard and wires it to its
@@ -405,6 +411,7 @@ func (c *city) buildDomain(d, shard int, anchor *cityMAP) *cityDomain {
 		Scheme:   p.Scheme,
 		PoolSize: p.PoolSize,
 		Alpha:    p.Alpha,
+		Alloc:    topo.AllocPacket,
 	}
 	par := core.NewAccessRouter(engine, parRouter, parNet, dir, arCfg)
 	nar := core.NewAccessRouter(engine, narRouter, narNet, dir, arCfg)
@@ -412,6 +419,7 @@ func (c *city) buildDomain(d, shard int, anchor *cityMAP) *cityDomain {
 	nar.AddAP(apNAR.Name(), narAPLink.A())
 
 	for _, ar := range []*core.AccessRouter{par, nar} {
+		hookRelease(topo, ar.Router())
 		ar.OnDrop = func(pkt *inet.Packet, where string) {
 			recorder.Dropped(pkt, where)
 			releaseChain(topo, pkt)
@@ -512,11 +520,7 @@ func (c *city) addHost(dom *cityDomain, i int, rcoaHost inet.HostID) {
 			topo.ReleasePacket(pkt)
 		}
 	}
-	mh.ReleaseTunnel = func(outer, inner *inet.Packet) {
-		for q := outer; q != nil && q != inner; q = q.Inner {
-			topo.ReleasePacket(q)
-		}
-	}
+	mh.ReleaseTunnel = releaseWrappers(topo)
 	recorder := dom.recorder
 	mh.OnDuplicate = func(pkt *inet.Packet) {
 		recorder.DedupDiscardMH()

@@ -170,10 +170,6 @@ type Testbed struct {
 	narAPL *netsim.Link
 	arLink *netsim.Link
 
-	// releaseUDP recycles a dead UDP data chain into the topology's pool;
-	// AddMobileHost chains it behind each station's TxDropHook.
-	releaseUDP func(pkt *inet.Packet)
-
 	// Faults is the control-plane loss injector, nil unless
 	// Params.ControlLossRate is positive.
 	Faults *netsim.FaultInjector
@@ -245,8 +241,13 @@ func NewTestbed(p Params) *Testbed {
 		// Re-pin the inter-AR route clobbered by the recomputation.
 		parRouter.AddPrefixRoute(NetNAR, arLink.A())
 		narRouter.AddPrefixRoute(NetPAR, arLink.B())
-		home = mip.NewAgent(engine, haRouter, mip.AgentConfig{ManagedNet: NetHome})
+		home = mip.NewAgent(engine, haRouter, mip.AgentConfig{
+			ManagedNet: NetHome,
+			Alloc:      topo.AllocPacket,
+		})
+		hookRelease(topo, haRouter)
 	}
+	hookRelease(topo, mapRouter)
 
 	dir := core.NewDirectory()
 	recorder := stats.NewRecorderMode(p.StatsMode)
@@ -258,37 +259,28 @@ func NewTestbed(p Params) *Testbed {
 		PartialGrants:     p.PartialGrants,
 		AuthKey:           p.AuthKey,
 		RetransmitUnacked: p.ControlLossRate > 0,
+		Alloc:             topo.AllocPacket,
 	}
 	par := core.NewAccessRouter(engine, parRouter, NetPAR, dir, arCfg)
 	nar := core.NewAccessRouter(engine, narRouter, NetNAR, dir, arCfg)
 	par.AddAP("ap-par", parAPLink.A())
 	nar.AddAP("ap-nar", narAPLink.A())
 
-	// releaseUDPChain recycles a dead UDP data packet (and any tunnel
-	// wrappers around it) into the topology's pool. Only UDP data is
-	// recycled here: control payloads stay off the pool so retransmission
-	// bookkeeping can never meet a recycled struct, and these testbeds
-	// carry no TCP (the WLAN testbed recycles its TCP packets at its own
-	// sinks). The reclaim waits until the releasing event has returned, so
-	// hooks chained after this one (tracing) still read the packet intact.
-	releaseUDPChain := func(pkt *inet.Packet) {
-		if pkt.Innermost().Proto != inet.ProtoUDP {
-			return
-		}
-		for p := pkt; p != nil; p = p.Inner {
-			topo.ReleasePacket(p)
-		}
-	}
+	// Every dead packet goes back to the topology's pool through
+	// releaseChain; the reclaim waits until the releasing event has
+	// returned, so hooks chained after it (tracing) still read the packet
+	// intact.
 	for _, ar := range []*core.AccessRouter{par, nar} {
+		hookRelease(topo, ar.Router())
 		ar.OnDrop = func(pkt *inet.Packet, where string) {
 			recorder.Dropped(pkt, where)
-			releaseUDPChain(pkt)
+			releaseChain(topo, pkt)
 		}
 		// SafetyNet: discarded hold-window copies are dedup events, not
 		// losses — count them and recycle the chain.
 		ar.OnBicastDiscard = func(pkt *inet.Packet) {
 			recorder.DedupDiscardNAR()
-			releaseUDPChain(pkt)
+			releaseChain(topo, pkt)
 		}
 	}
 	// Bandwidth-overhead accounting for the anchor's bicast duplicates.
@@ -297,7 +289,7 @@ func NewTestbed(p Params) *Testbed {
 		if pkt.Innermost().Proto != inet.ProtoControl {
 			recorder.DroppedSite(pkt, stats.SiteAir)
 		}
-		releaseUDPChain(pkt)
+		releaseChain(topo, pkt)
 	}
 	apPAR.AirDropHook = dataAirDrop
 	apNAR.AirDropHook = dataAirDrop
@@ -309,13 +301,13 @@ func NewTestbed(p Params) *Testbed {
 		if pkt.Innermost().Proto != inet.ProtoControl {
 			recorder.DroppedSite(pkt, stats.SiteLinkQueue)
 		}
-		releaseUDPChain(pkt)
+		releaseChain(topo, pkt)
 	})
 	// Impair discards (the fault injector eating a packet) are final sinks
 	// too: recycle them the same way. The injector is control-only, and
-	// control payloads stay off the pool, so today this recycles nothing —
+	// control packets are never pooled, so today this recycles nothing —
 	// it is here so a future data-plane fault config cannot silently leak.
-	topo.HookDiscards(releaseUDPChain)
+	topo.HookDiscards(func(pkt *inet.Packet) { releaseChain(topo, pkt) })
 
 	// Staggered beacons: the PAR's AP on one phase, the NAR's on another.
 	apPAR.StartAdvertising(wireless.Advertisement{Router: parRouter.Addr(), Net: NetPAR},
@@ -352,8 +344,6 @@ func NewTestbed(p Params) *Testbed {
 		narAPL:   narAPLink,
 		arLink:   arLink,
 		Faults:   faults,
-
-		releaseUDP: releaseUDPChain,
 	}
 }
 
@@ -383,7 +373,7 @@ func (tb *Testbed) AddMobileHost(motion wireless.Motion, flows []FlowSpec) *MHUn
 		if pkt.Innermost().Proto != inet.ProtoControl {
 			tb.Recorder.DroppedSite(pkt, stats.SiteAirUplink)
 		}
-		tb.releaseUDP(pkt)
+		releaseChain(tb.Topo, pkt)
 	}
 	mh := core.NewMobileHost(tb.Engine, station, rcoa, anchor.Router().Addr(), core.MHConfig{
 		HostID:            hostID,
@@ -407,11 +397,7 @@ func (tb *Testbed) AddMobileHost(motion wireless.Motion, flows []FlowSpec) *MHUn
 			tb.Topo.ReleasePacket(pkt)
 		}
 	}
-	mh.ReleaseTunnel = func(outer, inner *inet.Packet) {
-		for p := outer; p != nil && p != inner; p = p.Inner {
-			tb.Topo.ReleasePacket(p)
-		}
-	}
+	mh.ReleaseTunnel = releaseWrappers(tb.Topo)
 	mh.OnDuplicate = func(pkt *inet.Packet) {
 		// Redundant bicast copy suppressed by the dedup window (wrappers
 		// already recycled via ReleaseTunnel).
@@ -464,3 +450,37 @@ func (tb *Testbed) StopTraffic() {
 
 // Run advances the simulation to the given instant.
 func (tb *Testbed) Run(until sim.Time) error { return tb.Engine.Run(until) }
+
+// releaseChain recycles a dead packet chain into the pools it came from:
+// every tunnel wrapper, and the innermost packet when it is UDP data.
+// Control packets are heap-allocated and never pooled, and TCP packets
+// dropped on the way stay with the garbage collector (the WLAN testbed
+// recycles its TCP packets at its own sinks). topo is the topology the
+// packet died on; a packet another topology allocated is parked there
+// until the run returns it (netsim.Topology.ReturnParked).
+func releaseChain(topo *netsim.Topology, pkt *inet.Packet) {
+	for p := pkt; p != nil; p = p.Inner {
+		if p.Proto == inet.ProtoTunnel || p.Proto == inet.ProtoUDP {
+			topo.ReleasePacket(p)
+		}
+	}
+}
+
+// releaseWrappers returns a tunnel-exit hook (core.MobileHost and
+// netsim.Router ReleaseTunnel) that recycles the stripped wrappers into
+// topo; the inner packet lives on.
+func releaseWrappers(topo *netsim.Topology) func(outer, inner *inet.Packet) {
+	return func(outer, inner *inet.Packet) {
+		for p := outer; p != nil && p != inner; p = p.Inner {
+			topo.ReleasePacket(p)
+		}
+	}
+}
+
+// hookRelease makes a router recycle into topo the tunnel wrappers that
+// die at it (its own decapsulation, or an access router's) and the packets
+// it drops for lack of a route.
+func hookRelease(topo *netsim.Topology, r *netsim.Router) {
+	r.ReleaseTunnel = releaseWrappers(topo)
+	r.NoRouteHook = func(pkt *inet.Packet) { releaseChain(topo, pkt) }
+}

@@ -56,7 +56,7 @@ func TestRecorderLost(t *testing.T) {
 func TestRecorderDroppedChargesInnermostFlow(t *testing.T) {
 	r := NewRecorder()
 	inner := pkt(7, inet.ClassHighPriority, 3, 0)
-	tunnel := inner.Encapsulate(inet.Addr{Net: 2, Host: 1}, inet.Addr{Net: 3, Host: 1})
+	tunnel := inner.Encapsulate(nil, inet.Addr{Net: 2, Host: 1}, inet.Addr{Net: 3, Host: 1})
 	r.Dropped(tunnel, "nar-buffer")
 	if got := r.Flow(7).DroppedAt("nar-buffer"); got != 1 {
 		t.Fatalf("drop not charged to inner flow: %d", got)
@@ -74,8 +74,8 @@ func TestRecorderDroppedDoublyTunneled(t *testing.T) {
 	// tunnel): the drop is still charged to the innermost flow.
 	r := NewRecorder()
 	inner := pkt(9, inet.ClassRealTime, 1, 0)
-	mid := inner.Encapsulate(inet.Addr{Net: 2, Host: 1}, inet.Addr{Net: 3, Host: 1})
-	outer := mid.Encapsulate(inet.Addr{Net: 3, Host: 1}, inet.Addr{Net: 4, Host: 1})
+	mid := inner.Encapsulate(nil, inet.Addr{Net: 2, Host: 1}, inet.Addr{Net: 3, Host: 1})
+	outer := mid.Encapsulate(nil, inet.Addr{Net: 3, Host: 1}, inet.Addr{Net: 4, Host: 1})
 	r.DroppedSite(outer, SitePARBuffer)
 	if got := r.Flow(9).DroppedAtSite(SitePARBuffer); got != 1 {
 		t.Fatalf("doubly tunneled drop not charged to innermost flow: %d", got)

@@ -97,14 +97,11 @@ func (r *Receiver) advance(length int, now sim.Time) {
 
 func (r *Receiver) sendAck() {
 	pkt := newPacket(r.Alloc)
-	*pkt = inet.Packet{
-		Src:     r.src,
-		Dst:     r.dst,
-		Proto:   inet.ProtoTCP,
-		Flow:    r.flow,
-		Size:    HeaderSize,
-		Created: r.engine.Now(),
-		Payload: &Segment{Ack: true, AckNo: r.rcvNxt},
-	}
+	pkt.Src, pkt.Dst = r.src, r.dst
+	pkt.Proto = inet.ProtoTCP
+	pkt.Flow = r.flow
+	pkt.Size = HeaderSize
+	pkt.Created = r.engine.Now()
+	pkt.Payload = &Segment{Ack: true, AckNo: r.rcvNxt}
 	r.send(pkt)
 }

@@ -50,7 +50,9 @@ const HeaderSize = 40
 
 // newPacket returns a zeroed packet from alloc, or a fresh one when alloc
 // is nil. The branch matters: a fresh packet allocated up front and then
-// overwritten by alloc's would still escape to the heap.
+// overwritten by alloc's would still escape to the heap. Callers set the
+// fields one by one: assigning a whole struct would wipe the pool
+// bookkeeping a pooled packet carries.
 func newPacket(alloc func() *inet.Packet) *inet.Packet {
 	if alloc != nil {
 		return alloc()

@@ -214,17 +214,14 @@ func (s *Sender) transmit(seq uint64) {
 		s.maxSent = end
 	}
 	pkt := newPacket(s.cfg.Alloc)
-	*pkt = inet.Packet{
-		Src:     s.cfg.Src,
-		Dst:     s.cfg.Dst,
-		Proto:   inet.ProtoTCP,
-		Class:   s.cfg.Class,
-		Flow:    s.cfg.Flow,
-		Seq:     uint32(seq / uint64(s.cfg.MSS)),
-		Size:    s.cfg.MSS + HeaderSize,
-		Created: now,
-		Payload: seg,
-	}
+	pkt.Src, pkt.Dst = s.cfg.Src, s.cfg.Dst
+	pkt.Proto = inet.ProtoTCP
+	pkt.Class = s.cfg.Class
+	pkt.Flow = s.cfg.Flow
+	pkt.Seq = uint32(seq / uint64(s.cfg.MSS))
+	pkt.Size = s.cfg.MSS + HeaderSize
+	pkt.Created = now
+	pkt.Payload = seg
 	if s.newID != nil {
 		pkt.ID = s.newID()
 	}
